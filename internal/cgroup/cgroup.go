@@ -96,6 +96,13 @@ type Group struct {
 	evictFree     []*evictRec
 	faultFree     []*faultRec
 
+	// writeback holds pages whose eviction was cancelled while the
+	// write-back was still in flight. Like Linux's PG_writeback, such a
+	// page cannot be reclaimed again until that write completes: a per-VM
+	// device maps a page to the same slot every time, and two write-backs
+	// sharing a slot would each be judged by the page's current state.
+	writeback map[mem.PageID]bool
+
 	// em receives reservation-change and swap-full events; nil (the
 	// default) records nothing.
 	em *trace.Emitter
@@ -303,6 +310,9 @@ func (g *Group) admit(run func()) {
 func (g *Group) ThrottledFaults() int { return len(g.throttled) - g.thrHead }
 
 func (g *Group) startEviction(p mem.PageID) {
+	if len(g.writeback) > 0 && g.writeback[p] {
+		return
+	}
 	slot, ok := g.backend.SlotFor(p)
 	if !ok {
 		g.stats.SwapFullEvents++
@@ -364,16 +374,22 @@ func (e *evictRec) done() {
 		// the eviction was cancelled and the slot is stale.
 		g.backend.Release(slot)
 		g.stats.CancelledEvict++
+		delete(g.writeback, p)
 	}
 }
 
 // CancelEviction returns an Evicting page to Resident (the guest wrote to
-// it). The in-flight write-back completes harmlessly and releases its slot.
+// it). The in-flight write-back completes harmlessly and releases its slot;
+// until then the page is not reclaimed again.
 func (g *Group) CancelEviction(p mem.PageID) {
 	if g.table.State(p) != mem.StateEvicting {
 		panic("cgroup: CancelEviction on page not evicting")
 	}
 	g.table.SetState(p, mem.StateResident)
+	if g.writeback == nil {
+		g.writeback = make(map[mem.PageID]bool)
+	}
+	g.writeback[p] = true
 }
 
 // FaultIn starts (or joins) a swap-in of page p; done runs when the page is

@@ -373,3 +373,79 @@ func TestFaultInClusterRevalidatesAfterAdmission(t *testing.T) {
 		}
 	}
 }
+
+// identityBackend is a per-VM swap device like a VMD namespace: page p
+// always lives at slot p, a slot holds data only once a write-back has
+// landed there, and releasing or reading an empty slot panics. Write-backs
+// take between 5 and 54 ticks depending on the slot, so they complete out
+// of issue order as they do on a shared network.
+type identityBackend struct {
+	eng      *sim.Engine
+	delay    sim.Duration // read latency
+	held     map[uint32]bool
+	inflight map[uint32]int
+	overlaps int // write-backs issued while another to the same slot was in flight
+}
+
+func (b *identityBackend) SlotFor(p mem.PageID) (uint32, bool) { return uint32(p), true }
+
+func (b *identityBackend) Release(off uint32) {
+	if !b.held[off] {
+		panic("release of unwritten slot")
+	}
+	delete(b.held, off)
+}
+
+func (b *identityBackend) WritePage(off uint32, done func()) {
+	if b.inflight[off] > 0 {
+		b.overlaps++
+	}
+	b.inflight[off]++
+	b.eng.After(sim.Duration(5+off*37%50), func() {
+		b.inflight[off]--
+		b.held[off] = true
+		done()
+	})
+}
+
+func (b *identityBackend) ReadPage(off uint32, done func()) {
+	if !b.held[off] {
+		panic("read of unwritten slot")
+	}
+	b.eng.After(b.delay, done)
+}
+
+func (b *identityBackend) ReadCluster(offs []uint32, done func()) { b.eng.After(b.delay, done) }
+
+// TestCancelledWritebackBlocksReclaim follows Linux's PG_writeback: a page
+// whose eviction was cancelled while its write-back was in flight must not
+// be evicted again until that write-back completes. With an identity slot
+// map both write-backs would share one slot, and the first completion
+// would mark the page swapped while the second is still writing.
+func TestCancelledWritebackBlocksReclaim(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tb := mem.NewTable(64)
+	be := &identityBackend{eng: eng, delay: 20, held: map[uint32]bool{}, inflight: map[uint32]int{}}
+	g := New(eng, "vm0", tb, be, 48*mem.PageSize)
+	touch(tb, 64)
+	// Every tick the guest writes to whatever is being evicted, and the
+	// reservation swings so reclaim keeps wanting more victims than the
+	// in-flight write-backs cover.
+	eng.AddTickerFunc(sim.PhaseWorkload, func(now sim.Time) {
+		for p := mem.PageID(0); p < 64; p++ {
+			if tb.State(p) == mem.StateEvicting && now%3 == 0 {
+				g.CancelEviction(p)
+			}
+		}
+		g.SetReservationBytes(int64(8+now%40) * mem.PageSize)
+	})
+	eng.Run(400)
+	if be.overlaps != 0 {
+		t.Fatalf("%d write-backs overlapped an in-flight write-back of the same page", be.overlaps)
+	}
+	for p := mem.PageID(0); p < 64; p++ {
+		if tb.State(p) == mem.StateSwapped && !be.held[uint32(p)] {
+			t.Errorf("page %d is swapped but its slot holds nothing", p)
+		}
+	}
+}

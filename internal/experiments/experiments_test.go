@@ -314,3 +314,19 @@ func TestAblationAutoConverge(t *testing.T) {
 			r.ThrottledOpsRate, r.BaselineOpsRate)
 	}
 }
+
+// TestAgilePressureSmallScales runs the Figure 6 timeline at the small
+// scales where reclaim re-evicts a page whose cancelled write-back is still
+// in flight. The VMD namespace maps a page to the same slot every time, so
+// both write-backs would share it and the second completion would free a
+// slot the swap table still points at.
+func TestAgilePressureSmallScales(t *testing.T) {
+	for _, scale := range []float64{0.005, 0.0075} {
+		cfg := DefaultPressureConfig(core.Agile)
+		cfg.Scale = scale
+		cfg.Seed = 1
+		if r := RunPressureTimeline(cfg); r.Migration == nil || r.Migration.TotalSeconds <= 0 {
+			t.Errorf("scale %v: migration did not complete: %+v", scale, r.Migration)
+		}
+	}
+}
