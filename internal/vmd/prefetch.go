@@ -9,10 +9,7 @@
 
 package vmd
 
-import (
-	"agilemig/internal/mem"
-	"agilemig/internal/trace"
-)
+import "agilemig/internal/trace"
 
 // prefetcher is one client's readahead state on one namespace.
 type prefetcher struct {
@@ -193,6 +190,7 @@ func (pf *prefetcher) endWindow() {
 func (pf *prefetcher) fetch(batch []uint32) {
 	ns := pf.ns
 	v := ns.vmd
+	step := pf.dirStep()
 	groups := 0
 	finishGroup := func() {
 		groups--
@@ -204,7 +202,7 @@ func (pf *prefetcher) fetch(batch []uint32) {
 	for i < len(batch) {
 		sIdx := ns.placement[batch[i]]
 		j := i + 1
-		for j < len(batch) && batch[j] == batch[j-1]+pf.dirStep() && ns.placement[batch[j]] == sIdx {
+		for j < len(batch) && batch[j] == batch[j-1]+step && ns.placement[batch[j]] == sIdx {
 			j++
 		}
 		run := batch[i:j]
@@ -217,7 +215,7 @@ func (pf *prefetcher) fetch(batch []uint32) {
 			continue
 		}
 		groups++
-		pf.fetchRun(v.servers[sIdx], run, finishGroup)
+		ns.fetch(pf.c, v.servers[sIdx], run[0], len(run), step, pf, finishGroup)
 	}
 	if groups == 0 {
 		pf.endWindow()
@@ -232,67 +230,34 @@ func (pf *prefetcher) dirStep() uint32 {
 	return 1
 }
 
-// fetchRun transfers one contiguous run from one server: a request out,
-// one batched page message back. Arrived pages are staged unless they were
-// invalidated while in flight.
-func (pf *prefetcher) fetchRun(s *Server, run []uint32, done func()) {
-	ns := pf.ns
-	v := ns.vmd
-	c := pf.c
-	link := c.links[s.idx]
-	st := &sendState{}
-	if v.ft {
-		v.eng.AfterSeconds(v.ftTimeout, func() {
-			if st.settled {
-				return
-			}
-			st.settled = true
-			for _, o := range run {
-				delete(pf.inflight, o)
-			}
-			done()
-		})
+// diskRead leaves the pages' tier alone: readahead is not an access.
+func (pf *prefetcher) diskRead(*readXfer) {}
+
+// arrived stages a readahead transfer's pages, skipping any invalidated
+// (written or freed) while on the wire.
+func (pf *prefetcher) arrived(x *readXfer) {
+	for i := int32(0); i < x.n; i++ {
+		o := x.at(i)
+		if !pf.inflight[o] {
+			pf.wasted++
+			continue
+		}
+		delete(pf.inflight, o)
+		pf.staged[o] = true
+		pf.order = append(pf.order, o)
+		pf.windowStaged++
+		pf.c.prefetched++
 	}
-	link.toServer.SendMessage(RequestBytes, func() {
-		if st.settled || s.down {
-			return
-		}
-		diskN := 0
-		for _, o := range run {
-			if ns.placement[o] == s.idx && ns.onDisk.Test(mem.PageID(o)) {
-				diskN++
-			}
-		}
-		respond := func() {
-			s.pagesServed += int64(len(run))
-			link.fromServer.SendMessage(BatchMsgBytes(len(run)), func() {
-				if st.settled {
-					return
-				}
-				st.settled = true
-				for _, o := range run {
-					if !pf.inflight[o] {
-						// Invalidated (written/freed) while on the wire.
-						pf.wasted++
-						continue
-					}
-					delete(pf.inflight, o)
-					pf.staged[o] = true
-					pf.order = append(pf.order, o)
-					pf.windowStaged++
-					c.prefetched++
-				}
-				pf.evictStaging()
-				done()
-			})
-		}
-		if diskN > 0 {
-			s.diskServes += int64(diskN)
-			s.disk.Read(mem.PagesToBytes(diskN), respond)
-		} else {
-			respond()
-		}
-	})
+	pf.evictStaging()
+	x.fn()
+}
+
+// expired gives up on a timed-out readahead transfer.
+func (pf *prefetcher) expired(x *readXfer) {
+	for i := int32(0); i < x.n; i++ {
+		delete(pf.inflight, x.at(i))
+	}
+	x.fn()
 }
 
 // evictStaging discards oldest staged pages beyond the cache budget.

@@ -379,7 +379,7 @@ func (ns *Namespace) ctierStore(st *ctierState, off uint32, fn func()) {
 	for st.used >= v.ctierCap {
 		if !st.evictOne() {
 			// Everything left is already in writeback; overflow to remote.
-			ns.writeRemote(st.c, off, false, fn)
+			ns.writeRemote(st.c, off, 1, false, fn)
 			return
 		}
 	}
@@ -413,10 +413,10 @@ func (st *ctierState) evictOne() bool {
 		if ns.em.Enabled() {
 			ns.em.Emitf(v.eng.NowSeconds(), trace.VMDTierMove, "offset %d evicted from %s compressed tier to remote pool", victim, st.c.name)
 		}
-		// Decompress, then push through the v1 write machinery (which
+		// Decompress, then push to the pool as a one-page run (which
 		// bypasses this tier). ns.stored already counts the page.
 		v.eng.AfterSeconds(v.store.Tiers.CompressSeconds, func() {
-			ns.writeRemote(st.c, victim, true, func() {
+			ns.writeRemote(st.c, victim, 1, true, func() {
 				st.finishWriteback(victim)
 			})
 		})

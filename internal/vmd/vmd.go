@@ -738,20 +738,20 @@ func (ns *Namespace) holdsCopy(off uint32, srv int16) bool {
 	return false
 }
 
-// removeCopy drops the offset's replica on the server, reporting whether
-// one was present. It does not touch server accounting.
-func (ns *Namespace) removeCopy(off uint32, srv int16) bool {
+// removeCopy drops the offset's replica on the server, returning it and
+// whether one was present. It does not touch server accounting.
+func (ns *Namespace) removeCopy(off uint32, srv int16) (replCopy, bool) {
 	if ns.replicas == nil {
-		return false
+		return replCopy{}, false
 	}
 	cps := ns.replicas[off]
 	for i, cp := range cps {
 		if cp.srv == srv {
 			ns.replicas[off] = append(cps[:i], cps[i+1:]...)
-			return true
+			return cp, true
 		}
 	}
-	return false
+	return replCopy{}, false
 }
 
 // releaseCopy returns a replica's storage to its server's correct tier.
@@ -797,7 +797,7 @@ func (ns *Namespace) serverLost(s *Server) {
 				ns.lost.Set(mem.PageID(off))
 				lostN++
 			}
-		} else if ns.removeCopy(o, idx) {
+		} else if _, ok := ns.removeCopy(o, idx); ok {
 			if ns.placement[off] != noServer {
 				ns.vmd.queueRepair(ns, o)
 			}
@@ -852,23 +852,18 @@ func (v *VMD) pumpRepairs() {
 			run = append(run, nxt)
 			v.repairQ = v.repairQ[1:]
 		}
-		if len(run) == 1 {
-			if v.startRepair(it) {
-				v.repairBusy++
-			}
-			continue
-		}
-		if v.startRepairRun(run) {
+		if v.startRepair(run) {
 			v.repairBusy++
 		}
 	}
 }
 
-// startRepairRun begins one coalesced re-replication transfer of a run of
-// contiguous offsets sharing a source server, reporting whether any page
-// in the run still needed repair and a target existed. The run travels as
-// one message; each page lands (and re-validates) individually.
-func (v *VMD) startRepairRun(run []repairItem) bool {
+// startRepair begins one re-replication transfer of a run of contiguous
+// offsets sharing a source server (a single page is a run of one),
+// reporting whether any page in the run still needed repair and a target
+// existed. The run travels as one message; each page lands (and
+// re-validates) individually.
+func (v *VMD) startRepair(run []repairItem) bool {
 	ns := run[0].ns
 	valid := run[:0]
 	for _, it := range run {
@@ -940,65 +935,6 @@ func (v *VMD) startRepairRun(run []repairItem) bool {
 	return true
 }
 
-// startRepair begins one re-replication transfer, reporting whether it was
-// still needed and a target existed.
-func (v *VMD) startRepair(it repairItem) bool {
-	ns := it.ns
-	off := it.off
-	if ns.destroyed || ns.placement[off] == noServer {
-		return false
-	}
-	if 1+len(ns.copiesAt(off)) >= ns.k {
-		return false
-	}
-	src := v.servers[ns.placement[off]]
-	if src.down {
-		return false
-	}
-	n := len(v.servers)
-	var dst *Server
-	for i := 0; i < n; i++ {
-		cand := v.servers[(v.repairRR+i)%n]
-		if cand.down || cand == src || cand.freePages() <= 0 || ns.holdsCopy(off, cand.idx) {
-			continue
-		}
-		dst = cand
-		v.repairRR = int(cand.idx) + 1
-		break
-	}
-	if dst == nil {
-		// No eligible target right now; a later Restart re-queues.
-		return false
-	}
-	src.pagesServed++
-	send := func() {
-		v.interFlow(src, dst).SendMessage(PageMsgBytes, func() {
-			v.finishRepair(ns, off, src, dst)
-		})
-	}
-	if ns.onDisk.Test(mem.PageID(off)) {
-		src.diskServes++
-		src.disk.Read(mem.PageSize, send)
-	} else {
-		send()
-	}
-	return true
-}
-
-// finishRepair lands a re-replication transfer at its target.
-func (v *VMD) finishRepair(ns *Namespace, off uint32, src, dst *Server) {
-	next := func() {
-		v.repairBusy--
-		v.pumpRepairs()
-	}
-	landed, onDisk := v.landRepair(ns, off, src, dst)
-	if landed && onDisk {
-		dst.disk.Write(mem.PageSize, next)
-	} else {
-		next()
-	}
-}
-
 // landRepair re-validates and lands one re-replicated page at its target,
 // reporting whether a copy was added and on which tier. Disk-tier landings
 // are accounted immediately; the caller schedules the device write.
@@ -1023,34 +959,6 @@ func (v *VMD) landRepair(ns *Namespace, off uint32, src, dst *Server) (landed, o
 		ns.em.Emitf(v.eng.NowSeconds(), trace.VMDRepair, "offset %d re-replicated %s -> %s", off, src.name, dst.name)
 	}
 	return true, onDisk
-}
-
-// sendState tracks one in-flight request so a timeout and a late response
-// cannot both act on it.
-type sendState struct {
-	settled    bool
-	storedSrv  *Server // set once the server stored the page (awaiting ack)
-	storedDisk bool
-	// What the store cleared from an `already` (spilled/lost) offset, kept
-	// so a timeout can put it back when it reverts the placement.
-	wasLost  bool
-	wasSpill *Client
-}
-
-// writeOp is one logical page write: the primary copy plus K-1 replicas,
-// sharing a NACK/timeout exclusion set so a redirect never returns to a
-// server this op already knows is full, down or holding a copy.
-type writeOp struct {
-	ns       *Namespace
-	c        *Client
-	off      uint32
-	fn       func()
-	attempts int    // primary redirect budget (NACKs + timeouts)
-	nacked   uint64 // servers that NACKed or timed out this op
-	placed   uint64 // servers holding a copy of this op's page
-	pending  int    // copies not yet settled
-	already  bool   // offset was spilled/lost: ns.stored already counts it
-	counted  bool   // this op incremented ns.stored
 }
 
 // Write stores a page at the given offset through the given client (which
@@ -1082,7 +990,7 @@ func (ns *Namespace) Write(c *Client, off uint32, fn func()) {
 			return
 		}
 	}
-	ns.writeRemote(c, off, false, fn)
+	ns.writeRemote(c, off, 1, false, fn)
 }
 
 // hasDegraded reports whether the offset is in one of the degraded states
@@ -1093,24 +1001,6 @@ func (ns *Namespace) hasDegraded(off uint32) bool {
 		return true
 	}
 	return ns.lost != nil && ns.lost.Test(mem.PageID(off))
-}
-
-// writeRemote places a fresh offset on the remote pool through the v1
-// write machinery, bypassing the client-local compressed tier. Callers
-// that already count the offset in ns.stored (the compressed tier's
-// writeback) pass alreadyStored.
-func (ns *Namespace) writeRemote(c *Client, off uint32, alreadyStored bool, fn func()) {
-	already := alreadyStored || ns.hasDegraded(off)
-	op := &writeOp{
-		ns: ns, c: c, off: off, fn: fn,
-		attempts: 2*len(c.links) + 2,
-		pending:  ns.k,
-		already:  already,
-	}
-	op.sendCopy(true)
-	for j := 1; j < ns.k; j++ {
-		op.sendCopy(false)
-	}
 }
 
 // overwrite rewrites a stored page in place on every server holding it.
@@ -1140,28 +1030,28 @@ func (ns *Namespace) overwrite(c *Client, off uint32, fn func()) {
 func (ns *Namespace) sendOverwrite(c *Client, s *Server, off uint32, onDisk bool, fn func()) {
 	v := ns.vmd
 	link := c.links[s.idx]
-	st := &sendState{}
+	settled := false
 	if v.ft {
 		v.eng.AfterSeconds(v.ftTimeout, func() {
-			if st.settled {
+			if settled {
 				return
 			}
-			st.settled = true
+			settled = true
 			c.retries++
 			ns.Write(c, off, fn)
 		})
 	}
 	link.toServer.SendMessage(PageMsgBytes, func() {
-		if st.settled || s.down {
+		if settled || s.down {
 			return
 		}
 		ack := func() {
 			s.pagesStored++
 			link.fromServer.SendMessage(AckBytes, func() {
-				if st.settled {
+				if settled {
 					return
 				}
-				st.settled = true
+				settled = true
 				c.pagesWritten++
 				if fn != nil {
 					fn()
@@ -1175,248 +1065,6 @@ func (ns *Namespace) sendOverwrite(c *Client, s *Server, off uint32, onDisk bool
 			return
 		}
 		ack()
-	})
-}
-
-// sendCopy places one copy of the op's page: the primary drives the
-// attempts budget and degrades to a spill when the pool is exhausted;
-// replicas are best-effort and settle silently when no distinct server
-// can take them.
-func (op *writeOp) sendCopy(primary bool) {
-	if primary && op.attempts <= 0 {
-		op.spillPrimary()
-		return
-	}
-	s := op.c.placeServer(op.ns, op.off, op.nacked|op.placed)
-	if s == nil {
-		if primary {
-			op.spillPrimary()
-		} else {
-			op.settle()
-		}
-		return
-	}
-	if !primary {
-		// pickServer ignores the mask when it has a single candidate; a
-		// replica must land on a distinct, untried server or not at all.
-		bit := uint64(1) << uint(s.idx)
-		if (op.nacked|op.placed)&bit != 0 {
-			op.settle()
-			return
-		}
-	}
-	op.send(s, primary)
-}
-
-// settle marks one copy finished; the write completes when all have.
-func (op *writeOp) settle() {
-	op.pending--
-	if op.pending == 0 && op.fn != nil {
-		op.fn()
-	}
-}
-
-// send transmits one copy to the chosen server and handles ack, NACK and
-// (with fault tolerance armed) timeout.
-func (op *writeOp) send(s *Server, primary bool) {
-	ns := op.ns
-	c := op.c
-	v := ns.vmd
-	off := op.off
-	link := c.links[s.idx]
-	charged := false
-	if link.freeHint > 0 {
-		// Optimistic local accounting: the next gossip refreshes the true
-		// value, but in-flight writes already consume the budget.
-		charged = true
-		link.freeHint--
-	}
-	st := &sendState{}
-	if v.ft {
-		v.eng.AfterSeconds(v.ftTimeout, func() {
-			op.timeout(s, st, link, primary, charged)
-		})
-	}
-	link.toServer.SendMessage(PageMsgBytes, func() {
-		// Page arrived at the server.
-		if st.settled || s.down {
-			return
-		}
-		if s.freePages() <= 0 {
-			// NACK: server is actually full. The client retries on the
-			// next server in rotation.
-			s.rejects++
-			link.freeHint = 0
-			if ns.em.Enabled() {
-				ns.em.Emitf(v.eng.NowSeconds(), trace.VMDNack, "%s full, %s retrying offset %d", s.name, c.name, off)
-			}
-			link.fromServer.SendMessage(AckBytes, func() {
-				if st.settled {
-					return
-				}
-				st.settled = true
-				c.retries++
-				op.nacked |= uint64(1) << uint(s.idx)
-				if primary {
-					op.attempts--
-				}
-				op.sendCopy(primary)
-			})
-			return
-		}
-		finish := func() {
-			s.pagesStored++
-			link.fromServer.SendMessage(AckBytes, func() {
-				if st.settled {
-					return
-				}
-				st.settled = true
-				c.pagesWritten++
-				op.settle()
-			})
-		}
-		op.placed |= uint64(1) << uint(s.idx)
-		if primary {
-			ns.placement[off] = s.idx
-			ns.touch(off)
-			if op.already {
-				if ns.lost != nil && ns.lost.Test(mem.PageID(off)) {
-					ns.lost.Clear(mem.PageID(off))
-					ns.lostPages--
-					st.wasLost = true
-				}
-				if ns.spilled != nil && ns.spilled[off] != nil {
-					st.wasSpill = ns.spilled[off]
-					delete(ns.spilled, off)
-				}
-			} else if !op.counted {
-				ns.stored++
-				op.counted = true
-			}
-		}
-		// A replica that was on the wire when the primary's server crashed
-		// arrives after the page was written off as lost: its store
-		// resurrects the page, with this server as the new primary.
-		promote := !primary && ns.lost != nil && ns.placement[off] == noServer &&
-			ns.lost.Test(mem.PageID(off))
-		if promote {
-			ns.lost.Clear(mem.PageID(off))
-			ns.lostPages--
-			ns.placement[off] = s.idx
-		}
-		if s.used < s.capacity {
-			s.used++
-			st.storedSrv = s
-			if !primary && !promote {
-				ns.replicas[off] = append(ns.replicas[off], replCopy{srv: s.idx})
-			}
-			finish()
-		} else {
-			// Memory full: spill to the server's disk tier. The ack
-			// departs after the local write completes.
-			s.diskUsed++
-			s.diskStores++
-			st.storedSrv, st.storedDisk = s, true
-			if primary || promote {
-				ns.onDisk.Set(mem.PageID(off))
-			} else {
-				ns.replicas[off] = append(ns.replicas[off], replCopy{srv: s.idx, onDisk: true})
-			}
-			s.disk.Write(mem.PageSize, finish)
-		}
-	})
-}
-
-// timeout abandons an unanswered copy and redirects it. If the store had
-// landed but the ack was lost or stalled, the server-side lease expires
-// and the slot is reclaimed so accounting stays exact.
-func (op *writeOp) timeout(s *Server, st *sendState, link *serverLink, primary, charged bool) {
-	if st.settled {
-		return
-	}
-	st.settled = true
-	ns := op.ns
-	off := op.off
-	if st.storedSrv != nil {
-		if !st.storedSrv.down {
-			if st.storedDisk {
-				st.storedSrv.diskUsed--
-			} else {
-				st.storedSrv.used--
-			}
-		}
-		if primary {
-			if ns.placement[off] == s.idx {
-				ns.placement[off] = noServer
-				if st.storedDisk {
-					ns.onDisk.Clear(mem.PageID(off))
-				}
-				// The store consumed the offset's spilled/lost state; the
-				// redirect needs it back or a read in the gap finds nothing.
-				if st.wasLost && ns.lost != nil {
-					ns.lost.Set(mem.PageID(off))
-					ns.lostPages++
-				}
-				if st.wasSpill != nil {
-					ns.spilled[off] = st.wasSpill
-				}
-			}
-		} else if ns.placement[off] == s.idx {
-			// This replica store resurrected a lost page and became its
-			// primary; abandoning it puts the page back on the lost gauge.
-			ns.placement[off] = noServer
-			if st.storedDisk {
-				ns.onDisk.Clear(mem.PageID(off))
-			}
-			if ns.lost != nil {
-				ns.lost.Set(mem.PageID(off))
-				ns.lostPages++
-			}
-		} else {
-			ns.removeCopy(off, s.idx)
-		}
-		op.placed &^= uint64(1) << uint(s.idx)
-	} else if charged {
-		// The write never landed: hand its optimistic hint charge back so
-		// the server is not under-counted until the next gossip.
-		link.freeHint++
-	}
-	op.nacked |= uint64(1) << uint(s.idx)
-	op.c.retries++
-	if primary {
-		op.attempts--
-	}
-	op.sendCopy(primary)
-}
-
-// spillPrimary degrades a write the pool cannot take onto the writing
-// client's local swap disk.
-func (op *writeOp) spillPrimary() {
-	ns := op.ns
-	c := op.c
-	if ns.vmd.strict {
-		panic(fmt.Sprintf("vmd: pool exhausted writing %s offset %d", ns.name, op.off))
-	}
-	if c.spillDev == nil {
-		panic(fmt.Sprintf("vmd: pool exhausted writing %s offset %d and no spill device attached to %s", ns.name, op.off, c.name))
-	}
-	if ns.spilled == nil {
-		ns.spilled = make(map[uint32]*Client)
-	}
-	ns.spilled[op.off] = c
-	if op.already {
-		if ns.lost != nil && ns.lost.Test(mem.PageID(op.off)) {
-			ns.lost.Clear(mem.PageID(op.off))
-			ns.lostPages--
-		}
-	} else if !op.counted {
-		ns.stored++
-		op.counted = true
-	}
-	ns.spilledPages++
-	ns.em.Emitf(ns.vmd.eng.NowSeconds(), trace.VMDSpill, "offset %d spilled to %s local disk (pool exhausted)", op.off, c.name)
-	c.spillIO().Write(mem.PageSize, func() {
-		op.settle()
 	})
 }
 
@@ -1565,73 +1213,6 @@ func (ns *Namespace) serveStaged(pf *prefetcher, c *Client, off uint32, fn func(
 		if fn != nil {
 			fn()
 		}
-	})
-}
-
-// readCopy resolves the offset's current primary and issues the read, with
-// timeout-driven failover onto the next copy when fault tolerance is armed
-// (each retry re-resolves, so a crash promotion mid-flight is picked up).
-func (ns *Namespace) readCopy(c *Client, off uint32, fn func()) {
-	v := ns.vmd
-	sIdx := ns.placement[off]
-	if sIdx == noServer {
-		if holder := ns.spillHolder(off); holder != nil {
-			ns.readSpilled(c, holder, off, fn)
-			return
-		}
-		if ns.lost != nil && ns.lost.Test(mem.PageID(off)) {
-			ns.readLost(c, off, fn)
-			return
-		}
-		panic(fmt.Sprintf("vmd: read of unwritten offset %d in %s", off, ns.name))
-	}
-	ns.touch(off)
-	s := v.servers[sIdx]
-	if ns.em.Enabled() {
-		ns.em.Emitf(v.eng.NowSeconds(), trace.VMDRead, "offset %d from %s via %s", off, s.name, c.name)
-	}
-	link := c.links[s.idx]
-	st := &sendState{}
-	if v.ft {
-		v.eng.AfterSeconds(v.ftTimeout, func() {
-			if st.settled {
-				return
-			}
-			st.settled = true
-			ns.failoverReads++
-			if ns.em.Enabled() {
-				ns.em.Emitf(v.eng.NowSeconds(), trace.VMDFailover, "read of offset %d from %s timed out, retrying", off, s.name)
-			}
-			ns.readCopy(c, off, fn)
-		})
-	}
-	link.toServer.SendMessage(RequestBytes, func() {
-		if st.settled || s.down {
-			return
-		}
-		respond := func() {
-			s.pagesServed++
-			link.fromServer.SendMessage(PageMsgBytes, func() {
-				if st.settled {
-					return
-				}
-				st.settled = true
-				c.countRead(originRemote)
-				if fn != nil {
-					fn()
-				}
-			})
-		}
-		if ns.onDisk.Test(mem.PageID(off)) {
-			// Spilled page: the server reads its local disk first.
-			s.diskServes++
-			s.disk.Read(mem.PageSize, func() {
-				ns.maybePromote(s, off)
-				respond()
-			})
-			return
-		}
-		respond()
 	})
 }
 
