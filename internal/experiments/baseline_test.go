@@ -241,6 +241,9 @@ func firstDiff(got, want []byte) (line int, g, w string) {
 }
 
 func TestBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment end to end; CI runs it in its own step without -race")
+	}
 	dir := filepath.Join("testdata", "baseline")
 	for _, bc := range baselineCases {
 		bc := bc

@@ -321,6 +321,9 @@ func TestAblationAutoConverge(t *testing.T) {
 // both write-backs would share it and the second completion would free a
 // slot the swap table still points at.
 func TestAgilePressureSmallScales(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a minute under -race; CI runs it in its own step without -race")
+	}
 	for _, scale := range []float64{0.005, 0.0075} {
 		cfg := DefaultPressureConfig(core.Agile)
 		cfg.Scale = scale
