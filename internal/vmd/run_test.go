@@ -53,23 +53,24 @@ func TestReplicasLandOnDistinctServers(t *testing.T) {
 // (which adds one timeout closure per copy).
 func TestTransferAllocations(t *testing.T) {
 	const runs = 100
+	batch := make([]uint32, 8)
 	cases := []struct {
-		name          string
-		plain, armed  float64
-		prepare, each func(r *rig, i int)
+		name         string
+		plain, armed float64
+		prepare      func(r *rig, i int)
+		each         func(r *rig, i int, done func())
 	}{
 		{name: "Write", plain: 5, armed: 6,
-			each: func(r *rig, i int) { r.ns.Write(r.client, uint32(i), nil) }},
+			each: func(r *rig, i int, done func()) { r.ns.Write(r.client, uint32(i), done) }},
 		{name: "Read", plain: 4, armed: 5,
 			prepare: func(r *rig, i int) { r.ns.Write(r.client, uint32(i), nil) },
-			each:    func(r *rig, i int) { r.ns.Read(r.client, uint32(i), nil) }},
+			each:    func(r *rig, i int, done func()) { r.ns.Read(r.client, uint32(i), done) }},
 		{name: "WriteBatch8", plain: 5, armed: 6,
-			each: func(r *rig, i int) {
-				offs := r.batch[:0]
-				for j := 0; j < 8; j++ {
-					offs = append(offs, uint32(8*i+j))
+			each: func(r *rig, i int, done func()) {
+				for j := range batch {
+					batch[j] = uint32(8*i + j)
 				}
-				r.ns.WriteBatch(r.client, offs, nil)
+				r.ns.WriteBatch(r.client, batch, done)
 			}},
 	}
 	for _, tc := range cases {
@@ -81,19 +82,23 @@ func TestTransferAllocations(t *testing.T) {
 					timeout, want = DefaultFaultTimeout, tc.armed
 				}
 				r := newFaultRig(t, 2, 1<<16, 8*(runs+1), 1, timeout)
-				r.batch = make([]uint32, 0, 8)
 				if tc.prepare != nil {
 					for i := 0; i <= runs; i++ {
 						tc.prepare(r, i)
 					}
 					r.eng.RunSeconds(1)
 				}
-				i := 0
+				i, completed := 0, 0
+				done := func() { completed++ }
 				got := testing.AllocsPerRun(runs, func() {
-					tc.each(r, i)
+					tc.each(r, i, done)
 					i++
 					r.eng.RunSeconds(0.01)
 				})
+				// AllocsPerRun adds one warm-up call.
+				if completed != runs+1 {
+					t.Fatalf("%d of %d ops completed within their 0.01 s", completed, runs+1)
+				}
 				if got > want {
 					t.Errorf("%v allocations per op, want <= %v", got, want)
 				}

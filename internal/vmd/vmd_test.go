@@ -14,7 +14,6 @@ type rig struct {
 	servers []*Server
 	client  *Client
 	ns      *Namespace
-	batch   []uint32 // reusable offset buffer for allocation tests
 }
 
 func newRig(t *testing.T, nServers int, capPages int64, nsPages int) *rig {
