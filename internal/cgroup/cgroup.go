@@ -18,6 +18,7 @@ import (
 
 	"agilemig/internal/mem"
 	"agilemig/internal/metrics"
+	"agilemig/internal/pool"
 	"agilemig/internal/sim"
 	"agilemig/internal/trace"
 )
@@ -68,7 +69,9 @@ type Group struct {
 	maxEvictInFlight int
 	evictInFlight    int
 
-	waiters  map[mem.PageID][]func()
+	// waiters holds, per faulting page, the callbacks to run once it is
+	// resident.
+	waiters  map[mem.PageID]*waitList
 	disabled bool
 	// throttled holds fault admissions deferred by direct-reclaim
 	// throttling: when the group is over its reservation by more than the
@@ -89,12 +92,15 @@ type Group struct {
 
 	stats Stats
 
-	// Freelists and scratch for the hot reclaim/fault paths: eviction and
-	// fault completions are pooled records with callbacks bound once, so
-	// steady-state thrash allocates nothing per page moved.
+	// Freelists and scratch for the hot reclaim/fault paths: evictions,
+	// swap reads, wait lists and clustered swap-ins are pooled records with
+	// callbacks bound once, so steady-state thrash allocates nothing per
+	// page moved. Disable drops them.
 	victimScratch []mem.PageID
-	evictFree     []*evictRec
-	faultFree     []*faultRec
+	evicts        pool.Freelist[evictRec]
+	faults        pool.Freelist[faultRec]
+	waitLists     pool.Freelist[waitList]
+	clusters      pool.Freelist[clusterRec]
 
 	// writeback holds pages whose eviction was cancelled while the
 	// write-back was still in flight. Like Linux's PG_writeback, such a
@@ -124,6 +130,26 @@ type faultRec struct {
 	readF func()
 }
 
+// waitList holds the callbacks waiting for one faulting page. Its slice
+// keeps its capacity when the list is recycled.
+type waitList struct {
+	fns []func()
+}
+
+// clusterRec carries one clustered swap-in across its admission, its
+// device read and the in-flight faults it joined.
+type clusterRec struct {
+	g       *Group
+	pages   []mem.PageID // the caller's batch, read once at admission
+	done    func()
+	pending int
+	batch   []mem.PageID // pages this swap-in reads
+	offs    []uint32     // their swap slots
+	runF    func()
+	finishF func()
+	readF   func()
+}
+
 // throttledEntry is one deferred fault admission: either a page fault
 // (faultInNow(p, done) when drained) or a raw deferred closure (run, used
 // by clustered fault admission).
@@ -147,7 +173,7 @@ func New(eng *sim.Engine, name string, table *mem.Table, backend SwapBackend, re
 		backend:          backend,
 		reservationPages: mem.BytesToPages(reservationBytes),
 		maxEvictInFlight: DefaultEvictBatch,
-		waiters:          make(map[mem.PageID][]func()),
+		waiters:          make(map[mem.PageID]*waitList),
 	}
 	eng.AddTicker(sim.PhaseMemory, g)
 	return g
@@ -164,7 +190,7 @@ func (g *Group) Table() *mem.Table { return g.table }
 func (g *Group) SetTable(t *mem.Table) {
 	g.table = t
 	g.clock = mem.NewClock(t)
-	g.waiters = make(map[mem.PageID][]func())
+	g.waiters = make(map[mem.PageID]*waitList)
 }
 
 // Backend returns the group's swap backend.
@@ -220,8 +246,15 @@ func (g *Group) ExcessPages() int {
 
 // Disable permanently stops reclaim and fault service — the group's VM has
 // fully migrated away and the cgroup has been destroyed. Outstanding device
-// completions are dropped harmlessly.
-func (g *Group) Disable() { g.disabled = true }
+// completions are dropped harmlessly, and the group's record freelists
+// are released.
+func (g *Group) Disable() {
+	g.disabled = true
+	g.evicts.Drop()
+	g.faults.Drop()
+	g.waitLists.Drop()
+	g.clusters.Drop()
+}
 
 // Disabled reports whether Disable was called.
 func (g *Group) Disabled() bool { return g.disabled }
@@ -326,12 +359,8 @@ func (g *Group) startEviction(p mem.PageID) {
 	g.table.SetState(p, mem.StateEvicting)
 	g.table.SetSwapOffset(p, slot)
 	g.evictInFlight++
-	var e *evictRec
-	if n := len(g.evictFree); n > 0 {
-		e = g.evictFree[n-1]
-		g.evictFree[n-1] = nil
-		g.evictFree = g.evictFree[:n-1]
-	} else {
+	e := g.evicts.Get()
+	if e == nil {
 		e = &evictRec{g: g}
 		e.doneF = e.done
 	}
@@ -343,7 +372,7 @@ func (g *Group) startEviction(p mem.PageID) {
 // immediately (the callback fires exactly once).
 func (e *evictRec) done() {
 	g, p, slot := e.g, e.p, e.slot
-	g.evictFree = append(g.evictFree, e)
+	g.evicts.Put(e)
 	g.evictInFlight--
 	if g.disabled {
 		return
@@ -401,7 +430,7 @@ func (g *Group) FaultIn(p mem.PageID, done func()) {
 	if g.table.State(p) == mem.StateFaulting {
 		// Already in flight: join without consuming an admission slot.
 		if done != nil {
-			g.waiters[p] = append(g.waiters[p], done)
+			g.join(p, done)
 		}
 		return
 	}
@@ -413,16 +442,32 @@ func (g *Group) FaultIn(p mem.PageID, done func()) {
 	g.throttled = append(g.throttled, throttledEntry{p: p, done: done})
 }
 
-func (g *Group) newFaultRec() *faultRec {
-	if n := len(g.faultFree); n > 0 {
-		r := g.faultFree[n-1]
-		g.faultFree[n-1] = nil
-		g.faultFree = g.faultFree[:n-1]
-		return r
+// join adds fn to the callbacks waiting for page p.
+func (g *Group) join(p mem.PageID, fn func()) {
+	w := g.waiters[p]
+	if w == nil {
+		if w = g.waitLists.Get(); w == nil {
+			w = &waitList{}
+		}
+		g.waiters[p] = w
 	}
-	r := &faultRec{g: g}
-	r.readF = r.readDone
-	return r
+	w.fns = append(w.fns, fn)
+}
+
+// wake runs, in join order, the callbacks waiting for page p, and
+// recycles their list.
+func (g *Group) wake(p mem.PageID) {
+	w := g.waiters[p]
+	if w == nil {
+		return
+	}
+	delete(g.waiters, p)
+	for i, fn := range w.fns {
+		w.fns[i] = nil
+		fn()
+	}
+	w.fns = w.fns[:0]
+	g.waitLists.Put(w)
 }
 
 func (g *Group) faultInNow(p mem.PageID, done func()) {
@@ -430,7 +475,7 @@ func (g *Group) faultInNow(p mem.PageID, done func()) {
 	case mem.StateFaulting:
 		// Another admission for the same page ran first; join it.
 		if done != nil {
-			g.waiters[p] = append(g.waiters[p], done)
+			g.join(p, done)
 		}
 		return
 	case mem.StateSwapped:
@@ -446,10 +491,14 @@ func (g *Group) faultInNow(p mem.PageID, done func()) {
 	}
 	g.table.SetState(p, mem.StateFaulting)
 	if done != nil {
-		g.waiters[p] = append(g.waiters[p], done)
+		g.join(p, done)
 	}
 	slot := g.table.SwapOffset(p)
-	r := g.newFaultRec()
+	r := g.faults.Get()
+	if r == nil {
+		r = &faultRec{g: g}
+		r.readF = r.readDone
+	}
 	r.p, r.slot = p, slot
 	g.backend.ReadPage(slot, r.readF)
 }
@@ -458,7 +507,7 @@ func (g *Group) faultInNow(p mem.PageID, done func()) {
 // immediately (the callback fires exactly once).
 func (r *faultRec) readDone() {
 	g, p, slot := r.g, r.p, r.slot
-	g.faultFree = append(g.faultFree, r)
+	g.faults.Put(r)
 	if g.disabled {
 		return
 	}
@@ -470,74 +519,84 @@ func (r *faultRec) readDone() {
 	g.table.SetState(p, mem.StateResident)
 	g.backend.Release(slot)
 	g.stats.SwapInPages++
-	ws := g.waiters[p]
-	delete(g.waiters, p)
-	for _, w := range ws {
-		w()
-	}
+	g.wake(p)
 }
 
 // FaultInCluster swaps in a batch of pages with a single clustered device
 // read (swap readahead). Pages already in flight are joined, pages already
 // usable are skipped; done runs once every page of the batch is usable.
 // Admission is subject to the same direct-reclaim throttling as FaultIn.
+// The batch is read at admission and not retained.
 func (g *Group) FaultInCluster(pages []mem.PageID, done func()) {
-	g.admit(func() { g.faultInClusterNow(pages, done) })
+	r := g.clusters.Get()
+	if r == nil {
+		r = &clusterRec{g: g}
+		r.runF, r.finishF, r.readF = r.run, r.finish, r.readDone
+	}
+	r.pages, r.done = pages, done
+	g.admit(r.runF)
 }
 
-func (g *Group) faultInClusterNow(pages []mem.PageID, done func()) {
+// run starts an admitted clustered swap-in.
+func (r *clusterRec) run() {
+	g := r.g
 	// Re-validate: while the admission waited, some pages may have been
 	// resolved by other means (a concurrent fault, an arriving copy).
-	pending := 1
-	finish := func() {
-		pending--
-		if pending == 0 && done != nil {
-			done()
-		}
-	}
-	var batch []mem.PageID
-	var offs []uint32
-	for _, p := range pages {
+	r.pending = 1
+	r.batch, r.offs = r.batch[:0], r.offs[:0]
+	for _, p := range r.pages {
 		switch g.table.State(p) {
 		case mem.StateSwapped:
 			g.table.SetState(p, mem.StateFaulting)
-			batch = append(batch, p)
-			offs = append(offs, g.table.SwapOffset(p))
+			r.batch = append(r.batch, p)
+			r.offs = append(r.offs, g.table.SwapOffset(p))
 		case mem.StateFaulting:
-			pending++
-			g.waiters[p] = append(g.waiters[p], finish)
+			r.pending++
+			g.join(p, r.finishF)
 		default:
 			// Already usable; nothing to read.
 		}
 	}
-	if len(batch) == 0 {
-		finish()
-		return
+	r.pages = nil
+	if len(r.batch) > 0 {
+		r.pending++
+		g.backend.ReadCluster(r.offs, r.readF)
 	}
-	pending++
-	snapshot := batch
-	g.backend.ReadCluster(offs, func() {
-		defer finish()
-		if g.disabled {
-			return
-		}
-		for i, p := range snapshot {
+	// Release the setup guard now that all branches have registered their
+	// own pending counts.
+	r.finish()
+}
+
+// readDone runs when the clustered read completes.
+func (r *clusterRec) readDone() {
+	g := r.g
+	if !g.disabled {
+		for i, p := range r.batch {
 			if g.table.State(p) != mem.StateFaulting {
 				continue
 			}
 			g.table.SetState(p, mem.StateResident)
-			g.backend.Release(offs[i])
+			g.backend.Release(r.offs[i])
 			g.stats.SwapInPages++
-			ws := g.waiters[p]
-			delete(g.waiters, p)
-			for _, w := range ws {
-				w()
-			}
+			g.wake(p)
 		}
-	})
-	// Release the setup guard now that all branches have registered their
-	// own pending counts.
-	finish()
+	}
+	r.finish()
+}
+
+// finish counts down the swap-in's outstanding parts; the last one runs
+// done and recycles the record.
+func (r *clusterRec) finish() {
+	r.pending--
+	if r.pending > 0 {
+		return
+	}
+	done := r.done
+	r.done = nil
+	r.g.clusters.Put(r)
+	if done != nil {
+		done()
+	}
 }
 
 // SwapRateWindow helps compute the pages-per-second swap rate over a

@@ -12,6 +12,7 @@ import (
 
 	"agilemig/internal/cgroup"
 	"agilemig/internal/mem"
+	"agilemig/internal/pool"
 	"agilemig/internal/sim"
 )
 
@@ -46,6 +47,8 @@ type VM struct {
 	// through the migration fault handler, like in-flight guest work
 	// completing after a post-copy switchover.
 	pended []pendedAccess
+	// waits recycles the records of accesses routed to the fault handler.
+	waits pool.Freelist[faultWait]
 
 	faults      int64
 	zeroReads   int64
@@ -62,6 +65,28 @@ type pendedAccess struct {
 	p     mem.PageID
 	write bool
 	done  func()
+}
+
+// faultWait carries one access the fault handler must resolve. fireF is
+// the completion handed to the handler, bound once per record.
+type faultWait struct {
+	vm    *VM
+	p     mem.PageID
+	write bool
+	done  func()
+	fireF func()
+}
+
+// fire completes the access once the handler has resolved the page. The
+// record recycles before done runs, so done may start another access.
+func (w *faultWait) fire() {
+	vm, p, write, done := w.vm, w.p, w.write, w.done
+	w.done = nil
+	vm.waits.Put(w)
+	vm.hit(p, write)
+	if done != nil {
+		done()
+	}
 }
 
 // New creates a VM with the given memory size. It starts suspended with the
@@ -199,12 +224,16 @@ func (vm *VM) Access(p mem.PageID, write bool, done func()) bool {
 		vm.hit(p, write)
 		return true
 	default:
-		if vm.handler.HandleFault(vm, p, write, func() {
-			vm.hit(p, write)
-			if done != nil {
-				done()
-			}
-		}) {
+		w := vm.waits.Get()
+		if w == nil {
+			w = &faultWait{vm: vm}
+			w.fireF = w.fire
+		}
+		w.p, w.write, w.done = p, write, done
+		if vm.handler.HandleFault(vm, p, write, w.fireF) {
+			// Resolved at once: the handler never calls fireF.
+			w.done = nil
+			vm.waits.Put(w)
 			vm.hit(p, write)
 			return true
 		}

@@ -266,3 +266,58 @@ func TestVMAccessors(t *testing.T) {
 		t.Fatal("group not attached")
 	}
 }
+
+// slotBackend is a swap backend without bookkeeping: a page's slot is
+// its number, and every transfer completes two ticks later.
+type slotBackend struct{ eng *sim.Engine }
+
+func (b slotBackend) SlotFor(p mem.PageID) (uint32, bool) { return uint32(p), true }
+func (b slotBackend) Release(uint32)                      {}
+func (b slotBackend) WritePage(_ uint32, done func())     { b.eng.After(2, done) }
+func (b slotBackend) ReadPage(_ uint32, done func())      { b.eng.After(2, done) }
+func (b slotBackend) ReadCluster(_ []uint32, done func()) { b.eng.After(2, done) }
+
+// TestSwapPathAllocations pins the swap path's steady state at zero
+// allocations per page moved. Each operation is one guest access to a
+// swapped page: the vCPU stalls, the cgroup swaps the page in, and the
+// page it adds to the resident set pushes the group over its reservation,
+// so reclaim writes another page back. Fault waits, swap reads and
+// write-backs are pooled records, so once warm-up has filled the pools
+// the cycle allocates nothing.
+func TestSwapPathAllocations(t *testing.T) {
+	skipUnderRace(t)
+	const pages, reserved = 64, 32
+	eng := sim.NewEngine(1)
+	vm := New(eng, "vm0", pages*mem.PageSize)
+	g := cgroup.New(eng, "vm0", vm.Table(), slotBackend{eng}, reserved*mem.PageSize)
+	vm.AttachGroup(g)
+	vm.Resume()
+	vm.BulkPopulate(0, pages)
+	eng.Run(100)
+	tb := vm.Table()
+	cursor, stalled, completed := mem.PageID(0), 0, 0
+	done := func() { completed++ }
+	access := func() {
+		for tb.State(cursor) != mem.StateSwapped {
+			cursor = (cursor + 1) % pages
+		}
+		if !vm.Access(cursor, false, done) {
+			stalled++
+		}
+		eng.Run(eng.Now() + 20)
+	}
+	for i := 0; i < 50; i++ {
+		access()
+	}
+	got := testing.AllocsPerRun(100, access)
+	// AllocsPerRun adds one warm-up call.
+	if stalled != 151 || completed != 151 {
+		t.Fatalf("%d of 151 accesses stalled, %d completed; want every one to swap in", stalled, completed)
+	}
+	if s := g.Stats(); s.SwapInPages < 151 || s.SwapOutPages < reserved+151 {
+		t.Fatalf("swapped in %d and out %d pages; each access should move one page each way", s.SwapInPages, s.SwapOutPages)
+	}
+	if got != 0 {
+		t.Errorf("%v allocations per swapped access, want 0", got)
+	}
+}

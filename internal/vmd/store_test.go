@@ -349,3 +349,38 @@ func TestRebalanceOnJoinMovesTowardRing(t *testing.T) {
 		t.Fatalf("%d/300 reads after rebalance", served)
 	}
 }
+
+// TestStagingFIFOStaysBounded scans a namespace sequentially through
+// ReadBatch: readahead stages pages the scan then consumes, which leaves
+// stale entries in the staging FIFO. The FIFO must stay within twice the
+// staging budget however long the scan runs, so memory follows the
+// staged pages rather than the number of reads.
+func TestStagingFIFOStaysBounded(t *testing.T) {
+	const pages, chunk, budget = 8192, 8, 512
+	store := StoreConfig{BatchPages: 8, Readahead: ReadaheadConfig{Enabled: true, StagingPages: budget}}
+	r := newStoreRig(t, store, 2, pages, pages)
+	for i := 0; i < pages; i++ {
+		r.ns.Write(r.client, uint32(i), nil)
+	}
+	r.eng.RunSeconds(5)
+	pf := r.ns.prefFor(r.client)
+	offs := make([]uint32, chunk)
+	served, longest := 0, 0
+	for first := 0; first < pages; first += chunk {
+		for j := range offs {
+			offs[j] = uint32(first + j)
+		}
+		r.ns.ReadBatch(r.client, offs, func() { served++ })
+		r.eng.RunSeconds(0.02)
+		longest = max(longest, len(pf.order))
+	}
+	if served != pages/chunk {
+		t.Fatalf("%d/%d batched reads served", served, pages/chunk)
+	}
+	if _, hits, _, _ := r.ns.PrefetchStats(); hits < pages/2 {
+		t.Fatalf("only %d staging hits over a %d-page sequential scan", hits, pages)
+	}
+	if longest > 2*budget {
+		t.Fatalf("staging FIFO reached %d entries, budget %d", longest, budget)
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"agilemig/internal/blockdev"
 	"agilemig/internal/mem"
 	"agilemig/internal/metrics"
+	"agilemig/internal/pool"
 	"agilemig/internal/sim"
 	"agilemig/internal/simnet"
 	"agilemig/internal/trace"
@@ -99,6 +100,15 @@ type VMD struct {
 
 	rebalQ  []rebalanceMove
 	rebalOn bool // drip pump ticker currently registered
+
+	// Freelists of the records that carry transfers in flight (run.go),
+	// shared by every namespace of the pool.
+	ops      pool.Freelist[runOp]
+	copies   pool.Freelist[copySend]
+	xfers    pool.Freelist[readXfer]
+	reqs     pool.Freelist[readReq]
+	rewrites pool.Freelist[rewrite]
+	joins    pool.Freelist[join]
 }
 
 type peerKey struct{ from, to *Client }
@@ -1011,17 +1021,26 @@ func (ns *Namespace) overwrite(c *Client, off uint32, fn func()) {
 		ns.sendOverwrite(c, ns.vmd.servers[sIdx], off, ns.onDisk.Test(mem.PageID(off)), fn)
 		return
 	}
-	remaining := 1 + len(copies)
-	each := func() {
-		remaining--
-		if remaining == 0 && fn != nil {
-			fn()
-		}
-	}
-	ns.sendOverwrite(c, ns.vmd.servers[sIdx], off, ns.onDisk.Test(mem.PageID(off)), each)
+	j := ns.vmd.newJoin(1+len(copies), fn)
+	ns.sendOverwrite(c, ns.vmd.servers[sIdx], off, ns.onDisk.Test(mem.PageID(off)), j.doneF)
 	for _, cp := range copies {
-		ns.sendOverwrite(c, ns.vmd.servers[cp.srv], off, cp.onDisk, each)
+		ns.sendOverwrite(c, ns.vmd.servers[cp.srv], off, cp.onDisk, j.doneF)
 	}
+}
+
+// rewrite is one overwrite of an existing copy in flight: a pooled record
+// that, like copySend, recycles once no callback can reach it.
+type rewrite struct {
+	ns      *Namespace
+	c       *Client
+	s       *Server
+	fn      func()
+	off     uint32
+	onDisk  bool
+	settled bool // a timeout and a late response cannot both act
+	refs    int8 // callbacks that may still run: message, disk write, timeout
+
+	arriveF, storedF, ackedF, expireF func()
 }
 
 // sendOverwrite rewrites one existing copy. Overwrites never NACK (the
@@ -1029,43 +1048,80 @@ func (ns *Namespace) overwrite(c *Client, off uint32, fn func()) {
 // which re-resolves placement in case a crash moved the page meanwhile.
 func (ns *Namespace) sendOverwrite(c *Client, s *Server, off uint32, onDisk bool, fn func()) {
 	v := ns.vmd
-	link := c.links[s.idx]
-	settled := false
-	if v.ft {
-		v.eng.AfterSeconds(v.ftTimeout, func() {
-			if settled {
-				return
-			}
-			settled = true
-			c.retries++
-			ns.Write(c, off, fn)
-		})
+	w := v.rewrites.Get()
+	if w == nil {
+		w = &rewrite{}
+		w.arriveF, w.storedF, w.ackedF, w.expireF = w.arrive, w.stored, w.acked, w.expire
 	}
-	link.toServer.SendMessage(PageMsgBytes, func() {
-		if settled || s.down {
-			return
-		}
-		ack := func() {
-			s.pagesStored++
-			link.fromServer.SendMessage(AckBytes, func() {
-				if settled {
-					return
-				}
-				settled = true
-				c.pagesWritten++
-				if fn != nil {
-					fn()
-				}
-			})
-		}
-		if onDisk {
+	w.ns, w.c, w.s, w.fn, w.off, w.onDisk = ns, c, s, fn, off, onDisk
+	if v.ft {
+		w.refs++
+		v.eng.AfterSeconds(v.ftTimeout, w.expireF)
+	}
+	w.refs++
+	c.links[s.idx].toServer.SendMessage(PageMsgBytes, w.arriveF)
+}
+
+// unref drops one pending callback's hold on the overwrite; the last one
+// recycles the record.
+func (w *rewrite) unref() {
+	w.refs--
+	if w.refs > 0 {
+		return
+	}
+	v := w.ns.vmd
+	w.ns, w.c, w.s, w.fn, w.settled = nil, nil, nil, nil, false
+	v.rewrites.Put(w)
+}
+
+// arrive stores the page over the server's existing copy.
+func (w *rewrite) arrive() {
+	if !w.settled && !w.s.down {
+		if w.onDisk {
 			// Overwrite of a spilled page stays on disk.
-			s.diskStores++
-			s.disk.Write(mem.PageSize, ack)
-			return
+			w.s.diskStores++
+			w.refs++
+			w.s.disk.Write(mem.PageSize, w.storedF)
+		} else {
+			w.ack()
 		}
-		ack()
-	})
+	}
+	w.unref()
+}
+
+// stored runs when the server's disk write completes.
+func (w *rewrite) stored() {
+	w.ack()
+	w.unref()
+}
+
+// ack counts the copy as stored and sends the ack.
+func (w *rewrite) ack() {
+	w.s.pagesStored++
+	w.refs++
+	w.c.links[w.s.idx].fromServer.SendMessage(AckBytes, w.ackedF)
+}
+
+// acked completes the overwrite at the client.
+func (w *rewrite) acked() {
+	if !w.settled {
+		w.settled = true
+		w.c.pagesWritten++
+		if w.fn != nil {
+			w.fn()
+		}
+	}
+	w.unref()
+}
+
+// expire re-dispatches an unanswered overwrite.
+func (w *rewrite) expire() {
+	if !w.settled {
+		w.settled = true
+		w.c.retries++
+		w.ns.Write(w.c, w.off, w.fn)
+	}
+	w.unref()
 }
 
 // pickServer implements load-aware round robin over the gossiped hints.
@@ -1134,21 +1190,20 @@ func (ns *Namespace) Read(c *Client, off uint32, fn func()) {
 	if int(off) >= len(ns.placement) {
 		panic("vmd: read past end of namespace")
 	}
-	fn = ns.wrapLatency(fn)
-	fn = ns.wrapReadSpan(fn, off, 1)
+	r := ns.newReadReq(c, fn, off, 1)
 	if ns.vmd.store.Readahead.Enabled {
 		pf := ns.prefFor(c)
 		if pf.take(off) {
-			ns.serveStaged(pf, c, off, fn)
+			ns.serveStaged(pf, off, r)
 			return
 		}
 		pf.observe(off)
 	}
 	if st := ns.ctHolder(off); st != nil {
-		ns.readCtier(st, c, off, fn)
+		ns.readCtier(st, c, off, r.doneF)
 		return
 	}
-	ns.readCopy(c, off, fn)
+	ns.readCopy(c, off, r.doneF)
 }
 
 // SetReadLatencySink installs a callback observing the latency (in
@@ -1157,63 +1212,89 @@ func (ns *Namespace) Read(c *Client, off uint32, fn func()) {
 // use it to build demand-read latency histograms.
 func (ns *Namespace) SetReadLatencySink(fn func(seconds float64)) { ns.latSink = fn }
 
-// wrapLatency stamps a read's issue time and reports its completion
-// latency to the sink and the registered histogram; a no-op (returning fn
-// unchanged) when neither consumer is attached, so unobserved runs
-// allocate nothing here.
-func (ns *Namespace) wrapLatency(fn func()) func() {
-	if ns.latSink == nil && ns.readHist == nil {
-		return fn
+// readReq carries one Read or ReadBatch call until its last page has been
+// delivered, whatever tier served each page. It stamps the issue time for
+// the latency consumers and holds the call's demand-read span. A pooled
+// record: it recycles when the last page is delivered.
+type readReq struct {
+	ns    *Namespace
+	c     *Client
+	fn    func()
+	start sim.Time
+	span  trace.SpanID
+	left  int32
+	timed bool // a latency consumer was attached when the read was issued
+
+	doneF   func() // one page delivered
+	stagedF func() // one page served from the staging cache
+}
+
+// newReadReq starts a read of pages pages from off; fn runs once all have
+// been delivered.
+func (ns *Namespace) newReadReq(c *Client, fn func(), off uint32, pages int) *readReq {
+	v := ns.vmd
+	r := v.reqs.Get()
+	if r == nil {
+		r = &readReq{}
+		r.doneF, r.stagedF = r.pageDone, r.stagedDone
 	}
+	r.ns, r.c, r.fn, r.left = ns, c, fn, int32(pages)
+	r.timed = ns.latSink != nil || ns.readHist != nil
+	r.start = v.eng.Now()
+	if ns.sp.Enabled() {
+		name := "vmd-read"
+		if pages > 1 {
+			name = "vmd-read-batch"
+		}
+		r.span = ns.sp.Begin(v.eng.NowSeconds(), name, 0,
+			trace.Num("offset", float64(off)),
+			trace.Num("pages", float64(pages)))
+	}
+	return r
+}
+
+// pageDone reports one delivered page's latency to the sink and the
+// registered histogram; the last page closes the span, recycles the
+// record and runs fn.
+func (r *readReq) pageDone() {
+	ns := r.ns
 	eng := ns.vmd.eng
-	start := eng.Now()
-	return func() {
-		lat := sim.Seconds(eng.Now()-start, eng.TickLen())
+	if r.timed {
+		lat := sim.Seconds(eng.Now()-r.start, eng.TickLen())
 		ns.readHist.Observe(lat)
 		if ns.latSink != nil {
 			ns.latSink(lat)
 		}
-		if fn != nil {
-			fn()
-		}
+	}
+	r.left--
+	if r.left > 0 {
+		return
+	}
+	if r.span != 0 {
+		ns.sp.End(eng.NowSeconds(), r.span)
+	}
+	fn := r.fn
+	r.ns, r.c, r.fn, r.span = nil, nil, nil, 0
+	ns.vmd.reqs.Put(r)
+	if fn != nil {
+		fn()
 	}
 }
 
-// wrapReadSpan opens a demand-read span covering the whole read (whatever
-// tier ends up serving it) and closes it when the completion fires. Returns
-// fn unchanged when spans are off, so untraced reads allocate nothing here.
-func (ns *Namespace) wrapReadSpan(fn func(), off uint32, pages int) func() {
-	if !ns.sp.Enabled() {
-		return fn
-	}
-	name := "vmd-read"
-	if pages > 1 {
-		name = "vmd-read-batch"
-	}
-	rsp := ns.sp.Begin(ns.vmd.eng.NowSeconds(), name, 0,
-		trace.Num("offset", float64(off)),
-		trace.Num("pages", float64(pages)))
-	return func() {
-		ns.sp.End(ns.vmd.eng.NowSeconds(), rsp)
-		if fn != nil {
-			fn()
-		}
-	}
+// stagedDone delivers one page from the client's staging cache.
+func (r *readReq) stagedDone() {
+	r.c.countRead(originStaged)
+	r.pageDone()
 }
 
 // serveStaged completes a read from the client's readahead staging cache:
 // the page is already local, so the only cost is one event-loop hop.
-func (ns *Namespace) serveStaged(pf *prefetcher, c *Client, off uint32, fn func()) {
+func (ns *Namespace) serveStaged(pf *prefetcher, off uint32, r *readReq) {
 	if ns.em.Enabled() {
-		ns.em.Emitf(ns.vmd.eng.NowSeconds(), trace.VMDPrefetchHit, "offset %d served from staging on %s", off, c.name)
+		ns.em.Emitf(ns.vmd.eng.NowSeconds(), trace.VMDPrefetchHit, "offset %d served from staging on %s", off, r.c.name)
 	}
 	pf.noteHit(off)
-	ns.vmd.eng.After(1, func() {
-		c.countRead(originStaged)
-		if fn != nil {
-			fn()
-		}
-	})
+	ns.vmd.eng.After(1, r.stagedF)
 }
 
 // spillHolder returns the client holding the offset's spilled copy, or nil.
