@@ -388,12 +388,20 @@ func (ns *Namespace) ctierStore(st *ctierState, off uint32, fn func()) {
 	st.used++
 	ns.stored++
 	ns.touch(off)
-	v.eng.AfterSeconds(v.store.Tiers.CompressSeconds, func() {
-		if fn != nil {
-			fn()
-		}
-	})
+	v.eng.AfterSeconds(v.store.Tiers.CompressSeconds, orNoop(fn))
 }
+
+// orNoop returns fn, or a function that does nothing when fn is nil, so a
+// caller's completion can be scheduled as it is, without a wrapping
+// closure.
+func orNoop(fn func()) func() {
+	if fn == nil {
+		return noop
+	}
+	return fn
+}
+
+func noop() {}
 
 // evictOne starts the writeback of the oldest resident page, reporting
 // false when no page is evictable (all in writeback already).
@@ -458,11 +466,7 @@ func (ns *Namespace) ctierRewrite(st *ctierState, off uint32, fn func()) {
 		st.used++
 	}
 	ns.touch(off)
-	v.eng.AfterSeconds(v.store.Tiers.CompressSeconds, func() {
-		if fn != nil {
-			fn()
-		}
-	})
+	v.eng.AfterSeconds(v.store.Tiers.CompressSeconds, orNoop(fn))
 }
 
 // ctierFree releases a tier-held offset (the hypervisor faulted the page
