@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"agilemig/internal/core"
+	"agilemig/internal/ctlplane"
 	"agilemig/internal/detorder"
-	"agilemig/internal/sim"
 	"agilemig/internal/wss"
 )
 
@@ -12,17 +12,14 @@ import (
 // VMs and to trigger migration when the aggregate exceeds a threshold"):
 // it runs a working-set tracker on every VM of the source host, feeds the
 // aggregate into the watermark trigger, and migrates the selected VMs with
-// Agile migration when pressure is detected.
+// Agile migration when pressure is detected. The moves go through a
+// control-plane controller that runs one migration at a time.
 type Autopilot struct {
 	tb       *Testbed
 	cfg      AutopilotConfig
 	trackers map[string]*wss.Tracker
 	trigger  *wss.Trigger
-
-	queue     []string
-	migrating *VMHandle
-	migrated  []string
-	stopped   bool
+	ctl      *ctlplane.Controller
 }
 
 // AutopilotConfig shapes the controller.
@@ -51,7 +48,14 @@ func (tb *Testbed) StartAutopilot(cfg AutopilotConfig) *Autopilot {
 		// "agility controller" would defeat its own purpose.
 		cfg.Technique = core.Agile
 	}
-	a := &Autopilot{tb: tb, cfg: cfg, trackers: make(map[string]*wss.Tracker)}
+	a := &Autopilot{
+		tb:       tb,
+		cfg:      cfg,
+		trackers: make(map[string]*wss.Tracker),
+		// Migrations serialize on the NIC anyway, and moving one VM may
+		// already clear the pressure.
+		ctl: ctlplane.NewController(tb.Eng, tb, ctlplane.Config{MaxConcurrent: 1}),
+	}
 	for name, h := range tb.vms {
 		a.trackers[name] = wss.NewTracker(tb.Eng, h.VM.Group(), cfg.Tracker)
 	}
@@ -63,17 +67,31 @@ func (tb *Testbed) StartAutopilot(cfg AutopilotConfig) *Autopilot {
 	return a
 }
 
-// Stop halts the trigger and every tracker.
+// Stop halts the trigger and every tracker, and aborts the migrations
+// still waiting their turn. A running migration finishes.
 func (a *Autopilot) Stop() {
-	a.stopped = true
 	a.trigger.Stop()
 	for _, name := range detorder.Keys(a.trackers) {
 		a.trackers[name].Stop()
 	}
+	for _, m := range a.ctl.Migrations() {
+		if m.Status.Phase == ctlplane.PhasePending {
+			a.ctl.Abort(m.Name, "autopilot stopped")
+		}
+	}
 }
 
 // Migrated returns the names of the VMs the autopilot has moved, in order.
-func (a *Autopilot) Migrated() []string { return a.migrated }
+// A migration that rolled back or failed to launch is not a move.
+func (a *Autopilot) Migrated() []string {
+	var out []string
+	for _, m := range a.ctl.Migrations() {
+		if m.Status.Phase == ctlplane.PhaseSucceeded {
+			out = append(out, m.Spec.VM)
+		}
+	}
+	return out
+}
 
 // Tracker returns the tracker of a VM, or nil.
 func (a *Autopilot) Tracker(name string) *wss.Tracker { return a.trackers[name] }
@@ -97,55 +115,26 @@ func (a *Autopilot) aggregate() map[string]int64 {
 	return out
 }
 
-// onPressure queues the selected VMs and starts migrating them one at a
-// time (migrations serialize on the NIC anyway, and moving one VM may
-// already clear the pressure).
+// onPressure submits one migration to the testbed's dest for each selected
+// VM that has none in flight already.
 func (a *Autopilot) onPressure(names []string) {
-	if a.stopped {
-		return
-	}
-	a.queue = append(a.queue, names...)
-	a.kick()
-}
-
-func (a *Autopilot) kick() {
-	if a.migrating != nil || len(a.queue) == 0 || a.stopped {
-		return
-	}
-	name := a.queue[0]
-	a.queue = a.queue[1:]
-	h := a.tb.VMHandleOf(name)
-	if h == nil || a.tb.Source.VM(name) == nil {
-		a.kick()
-		return
-	}
-	// The tracker must not fight the migration for the reservation knob.
-	if t, ok := a.trackers[name]; ok {
-		t.Stop()
-	}
-	tech := a.cfg.Technique
-	destResv := a.cfg.DestReservationBytes
-	if destResv == 0 {
-		destResv = h.VM.Group().ReservationBytes()
-	}
-	a.migrating = h
-	if _, err := a.tb.Migrate(h, tech, destResv); err != nil {
-		// The VM is already mid-migration (it should not be — the autopilot
-		// serializes its own moves); skip rather than corrupt state.
-		a.migrating = nil
-		return
-	}
-	// Poll for completion; migration callbacks belong to the testbed.
-	a.tb.Eng.Every(a.tb.Eng.SecondsToTicks(1), func(sim.Time) bool {
-		if a.stopped {
-			return false
+	for _, name := range names {
+		if m := a.ctl.Get("mig-" + name); m != nil && !m.Status.Phase.Terminal() {
+			continue
 		}
-		if h.Migration == nil || !h.Migration.Done() {
-			return true
+		// The tracker must not fight the migration for the reservation knob.
+		if t, ok := a.trackers[name]; ok {
+			t.Stop()
 		}
-		a.migrated = append(a.migrated, name)
-		a.migrating = nil
-		a.kick()
-		return false
-	})
+		destResv := a.cfg.DestReservationBytes
+		if destResv == 0 {
+			destResv = a.tb.VMHandleOf(name).VM.Group().ReservationBytes()
+		}
+		a.ctl.Submit(ctlplane.Spec{
+			VM:                   name,
+			Technique:            a.cfg.Technique,
+			DestHost:             a.tb.Dest.Name(),
+			DestReservationBytes: destResv,
+		})
+	}
 }

@@ -93,3 +93,23 @@ func TestAutopilotStop(t *testing.T) {
 		t.Fatal("stopped autopilot migrated a VM")
 	}
 }
+
+// TestAutopilotCountsOnlySucceededMoves: a migration rolled back to the
+// source is not a move, and the VM queued behind it still migrates.
+func TestAutopilotCountsOnlySucceededMoves(t *testing.T) {
+	tb, hs := autopilotRig(t, 2)
+	ap := tb.StartAutopilot(autopilotConfig())
+	ap.onPressure([]string{"a", "b"})
+	tb.RunSeconds(1)
+	if m := hs[0].Migration; m == nil || !m.Abort() {
+		t.Fatal("could not roll back the first queued migration")
+	}
+	tb.RunSeconds(600)
+	if got := ap.Migrated(); len(got) != 1 || got[0] != "b" {
+		t.Fatalf("Migrated() = %v, want [b]", got)
+	}
+	if tb.Source.VM("a") == nil || tb.Dest.VM("b") == nil {
+		t.Fatalf("source hosts %v, dest hosts %v", tb.Source.VMs(), tb.Dest.VMs())
+	}
+	ap.Stop()
+}

@@ -160,19 +160,31 @@ func New(cfg Config) *Testbed {
 			eng.SetFastForward(false)
 		}
 	}
+	tb := build(eng, cfg, "", cfg.Seed^0x9e3779b97f4a7c15)
+	tb.group = group
+	return tb
+}
+
+// build assembles the testbed on an existing engine. Every actor it
+// creates — hosts, NICs, SSDs, VMD servers and clients, the network's
+// trace emitter — is named with prefix, so several testbeds can share one
+// engine and one merged timeline (a Fleet's cells). lossSeed seeds the
+// fault plan's message-loss draws.
+func build(eng *sim.Engine, cfg Config, prefix string, lossSeed uint64) *Testbed {
 	net := simnet.New(eng)
 	if cfg.Trace != nil {
-		net.SetTrace(cfg.Trace)
+		net.SetTrace(cfg.Trace, prefix+"net")
 	}
 	tb := &Testbed{
-		Cfg:   cfg,
-		Eng:   eng,
-		Net:   net,
-		group: group,
-		vms:   make(map[string]*VMHandle),
+		Cfg: cfg,
+		Eng: eng,
+		Net: net,
+		vms: make(map[string]*VMHandle),
 	}
+	ssd := cfg.SSD
+	ssd.Name = prefix + ssd.Name
 	tb.Source = host.New(eng, net, host.Config{
-		Name: "source", RAMBytes: cfg.HostRAMBytes,
+		Name: prefix + "source", RAMBytes: cfg.HostRAMBytes,
 		OSOverheadBytes: cfg.OSOverheadBytes, NetBytesPerSec: cfg.NetBytesPerSec,
 	})
 	destNet := cfg.NetBytesPerSec
@@ -180,17 +192,17 @@ func New(cfg Config) *Testbed {
 		destNet = cfg.DestNetBytesPerSec
 	}
 	tb.Dest = host.New(eng, net, host.Config{
-		Name: "dest", RAMBytes: cfg.HostRAMBytes,
+		Name: prefix + "dest", RAMBytes: cfg.HostRAMBytes,
 		OSOverheadBytes: cfg.OSOverheadBytes, NetBytesPerSec: destNet,
 	})
-	tb.Source.ConfigureSharedSwap(cfg.SSD, cfg.SwapPartitionBytes)
-	tb.Dest.ConfigureSharedSwap(cfg.SSD, cfg.SwapPartitionBytes)
+	tb.Source.ConfigureSharedSwap(ssd, cfg.SwapPartitionBytes)
+	tb.Dest.ConfigureSharedSwap(ssd, cfg.SwapPartitionBytes)
 	if cfg.Trace != nil || cfg.Metrics != nil {
 		// After ConfigureSharedSwap so the swap devices register too.
 		tb.Source.SetObserver(cfg.Trace, cfg.Metrics)
 		tb.Dest.SetObserver(cfg.Trace, cfg.Metrics)
 	}
-	tb.ClientNIC = net.NewNIC("clients", cfg.NetBytesPerSec)
+	tb.ClientNIC = net.NewNIC(prefix+"clients", cfg.NetBytesPerSec)
 
 	tb.VMD = vmd.New(eng, net)
 	if cfg.Trace != nil || cfg.Metrics != nil {
@@ -204,11 +216,12 @@ func New(cfg Config) *Testbed {
 		tb.VMD.SetStrict(true)
 	}
 	for i := 0; i < cfg.Intermediates; i++ {
-		nic := net.NewNIC(fmt.Sprintf("inter%d", i+1), cfg.NetBytesPerSec)
-		tb.VMD.AddServer(fmt.Sprintf("inter%d", i+1), nic, int64(mem.BytesToPages(cfg.IntermediateRAMBytes)))
+		name := fmt.Sprintf("%sinter%d", prefix, i+1)
+		nic := net.NewNIC(name, cfg.NetBytesPerSec)
+		tb.VMD.AddServer(name, nic, int64(mem.BytesToPages(cfg.IntermediateRAMBytes)))
 	}
-	tb.Source.SetVMDClient(tb.VMD.NewClient("source", tb.Source.NIC(), cfg.NetLatency))
-	tb.Dest.SetVMDClient(tb.VMD.NewClient("dest", tb.Dest.NIC(), cfg.NetLatency))
+	tb.Source.SetVMDClient(tb.VMD.NewClient(tb.Source.Name(), tb.Source.NIC(), cfg.NetLatency))
+	tb.Dest.SetVMDClient(tb.VMD.NewClient(tb.Dest.Name(), tb.Dest.NIC(), cfg.NetLatency))
 	if cfg.VMD.Tiers.Enabled {
 		// The compressed-RAM tier absorbs the migrated-to host's cold pages;
 		// bulk migration writes bypass it (their point is to leave the host).
@@ -220,7 +233,7 @@ func New(cfg Config) *Testbed {
 	tb.Dest.VMDClient().AttachSpill(tb.Dest.SwapDevice())
 	if !cfg.Faults.Empty() {
 		tb.VMD.EnableFaultTolerance(cfg.VMDFaultTimeoutSeconds)
-		tb.applyFaultPlan(cfg.Faults)
+		tb.applyFaultPlan(cfg.Faults, prefix, lossSeed)
 	}
 	if cfg.Metrics != nil {
 		net.RegisterMetrics(cfg.Metrics)
@@ -234,18 +247,17 @@ func New(cfg Config) *Testbed {
 }
 
 // applyFaultPlan resolves the schedule's targets (servers for
-// crash/restart, NICs for link and loss events) and arms one engine event
-// per entry. Unknown targets panic at build time: a fault plan that names
-// nothing is a scenario bug, not a runtime condition.
-func (tb *Testbed) applyFaultPlan(plan *sim.FaultPlan) {
-	// The loss draws come from a dedicated stream derived from the run
-	// seed, so arming a loss window never perturbs the workload RNGs.
-	lossSeed := tb.Cfg.Seed ^ 0x9e3779b97f4a7c15
+// crash/restart, NICs for link and loss events) with the testbed's name
+// prefix and arms one engine event per entry. Unknown targets panic at
+// build time: a fault plan that names nothing is a scenario bug, not a
+// runtime condition. The loss draws come from lossSeed's dedicated stream,
+// so arming a loss window never perturbs the workload RNGs.
+func (tb *Testbed) applyFaultPlan(plan *sim.FaultPlan, prefix string, lossSeed uint64) {
 	for _, ev := range plan.Sorted() {
 		ev := ev
 		switch ev.Kind {
 		case sim.FaultCrash, sim.FaultRestart:
-			srv := tb.VMD.ServerByName(ev.Target)
+			srv := tb.VMD.ServerByName(prefix + ev.Target)
 			if srv == nil {
 				panic("cluster: fault plan names unknown VMD server " + ev.Target)
 			}
@@ -255,14 +267,14 @@ func (tb *Testbed) applyFaultPlan(plan *sim.FaultPlan) {
 				tb.Eng.AfterSeconds(ev.At, srv.Restart)
 			}
 		case sim.FaultLinkDown, sim.FaultLinkUp:
-			nic := tb.Net.NICByName(ev.Target)
+			nic := tb.Net.NICByName(prefix + ev.Target)
 			if nic == nil {
 				panic("cluster: fault plan names unknown NIC " + ev.Target)
 			}
 			down := ev.Kind == sim.FaultLinkDown
 			tb.Eng.AfterSeconds(ev.At, func() { nic.SetDown(down) })
 		case sim.FaultLossStart, sim.FaultLossEnd:
-			nic := tb.Net.NICByName(ev.Target)
+			nic := tb.Net.NICByName(prefix + ev.Target)
 			if nic == nil {
 				panic("cluster: fault plan names unknown NIC " + ev.Target)
 			}
@@ -413,10 +425,15 @@ func (h *VMHandle) LoadDataset(datasetBytes int64) *workload.KVStore {
 // AttachClient runs a benchmark client on the external client host against
 // the VM's dataset.
 func (h *VMHandle) AttachClient(cfg workload.ClientConfig, d dist.Dist) *workload.Client {
+	return h.attachClient(cfg, d, h.tb.Eng.RNG().Split())
+}
+
+// attachClient is AttachClient drawing from the given stream.
+func (h *VMHandle) attachClient(cfg workload.ClientConfig, d dist.Dist, rng *sim.RNG) *workload.Client {
 	tb := h.tb
 	h.srcFlows[0] = tb.Net.NewFlow("app:req:"+h.VM.Name(), tb.ClientNIC, tb.Source.NIC(), tb.Cfg.NetLatency)
 	h.srcFlows[1] = tb.Net.NewFlow("app:resp:"+h.VM.Name(), tb.Source.NIC(), tb.ClientNIC, tb.Cfg.NetLatency)
-	h.Client = workload.NewClient(tb.Eng, cfg, h.Store, d, h.srcFlows[0], h.srcFlows[1], tb.Eng.RNG().Split())
+	h.Client = workload.NewClient(tb.Eng, cfg, h.Store, d, h.srcFlows[0], h.srcFlows[1], rng)
 	return h.Client
 }
 

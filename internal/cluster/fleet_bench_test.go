@@ -27,7 +27,7 @@ func BenchmarkShardedClusterTicksPerSecond(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				f := NewFleet(benchFleetConfig(shards))
 				if res := f.RunEvacuation(600); !res.Success() {
-					b.Fatalf("evacuation incomplete: %d/%d", f.Completed(), f.Cfg.Cells)
+					b.Fatalf("evacuation incomplete: %d/%d", res.Evacuated, f.Cfg.Cells)
 				}
 				ticks += int64(f.Group.Now())
 			}

@@ -230,7 +230,7 @@ func TestAbortUnderConcurrentControllerLoad(t *testing.T) {
 func TestFleetSurfacesPerCellFailure(t *testing.T) {
 	cfg := testFleetConfig(4, 2)
 	cfg.MigrationTimeoutSeconds = 10
-	cfg.Faults = (&sim.FaultPlan{}).LinkFlap("src", cfg.WarmupSeconds-1, 120)
+	cfg.Faults = (&sim.FaultPlan{}).LinkFlap("source", cfg.WarmupSeconds-1, 120)
 	cfg.FaultCells = []int{2}
 	f := NewFleet(cfg)
 	res := f.RunEvacuation(600)

@@ -279,7 +279,7 @@ func runDrainRack(opt DrainOptions) FleetReport {
 	if cfg.Cells > 1 {
 		// Fault only cell 1: link down one second before the start
 		// commands, up long after the watchdog fires.
-		cfg.Faults = (&sim.FaultPlan{}).LinkFlap("src", cfg.WarmupSeconds-1, cfg.MigrationTimeoutSeconds+60)
+		cfg.Faults = (&sim.FaultPlan{}).LinkFlap("source", cfg.WarmupSeconds-1, cfg.MigrationTimeoutSeconds+60)
 		cfg.FaultCells = []int{1}
 	}
 	f := cluster.NewFleet(cfg)

@@ -43,9 +43,12 @@ type Network struct {
 }
 
 // SetTrace attaches a trace bus; flow lifecycle events are recorded under
-// the "net" actor. A nil trace detaches.
-func (n *Network) SetTrace(tr *trace.Trace) {
-	n.em = tr.Emitter(trace.ScopeCluster, "net")
+// the given actor name. A testbed passes "net" prefixed with its own name
+// prefix ("net" standalone, "cell007-net" in a fleet cell), so every
+// network stays a distinct actor in a merged timeline. A nil trace
+// detaches.
+func (n *Network) SetTrace(tr *trace.Trace, actor string) {
+	n.em = tr.Emitter(trace.ScopeCluster, actor)
 }
 
 // RegisterMetrics registers every NIC's cumulative traffic as gauges
