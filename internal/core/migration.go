@@ -7,6 +7,7 @@ import (
 	"agilemig/internal/guest"
 	"agilemig/internal/mem"
 	"agilemig/internal/metrics"
+	"agilemig/internal/pool"
 	"agilemig/internal/sim"
 	"agilemig/internal/simnet"
 	"agilemig/internal/trace"
@@ -61,10 +62,19 @@ type Migration struct {
 	faultInFlight     int // migration-driven swap-ins at the source
 	scatterInFlight   int // scatter-gather: VMD writes in flight
 	outstandingDemand int // demand responses in flight
-	pendingDemand     map[mem.PageID][]func()
+	gatherInFlight    int // scatter-gather: destination prefetch clusters in flight
+	pendingDemand     map[mem.PageID]*waitList
 	srcDrained        bool
 	switched          bool
 	aborted           bool
+
+	// msgs and waitLists recycle the page stream's records (pagemsg.go);
+	// recRun is the open run of offset or untouched records, and offs is
+	// scratch for a scatter batch's offsets.
+	msgs      pool.Freelist[pageMsg]
+	waitLists pool.Freelist[waitList]
+	recRun    *pageMsg
+	offs      []uint32
 
 	downtimeBase sim.Duration
 	result       Result
@@ -168,7 +178,7 @@ func Start(eng *sim.Engine, net *simnet.Network, tech Technique, spec Spec) *Mig
 		nPages:        vm.Pages(),
 		srcTable:      vm.Table(),
 		srcGroup:      vm.Group(),
-		pendingDemand: make(map[mem.PageID][]func()),
+		pendingDemand: make(map[mem.PageID]*waitList),
 		downtimeBase:  vm.Downtime(),
 	}
 	m.em = spec.Trace.Emitter(trace.ScopeVM, vm.Name())
@@ -298,6 +308,7 @@ func (m *Migration) Abort() bool {
 	m.pushFlow.Close()
 	m.demandFlow.Close()
 	m.ctrlFlow.Close()
+	m.dropPools()
 	if m.spec.OnComplete != nil {
 		m.spec.OnComplete(&m.result)
 	}
@@ -513,34 +524,22 @@ func (m *Migration) swapInAndSend(p mem.PageID, bm *mem.Bitmap, freeAfter bool) 
 	m.faultInFlight++
 	if m.srcTable.State(p) == mem.StateFaulting {
 		// A guest fault is already bringing the page in; join it.
-		m.srcGroup.FaultIn(p, func() {
-			m.faultInFlight--
-			m.sendFullPage(p, freeAfter)
-		})
+		r := m.newMsg(kindSwappedIn, p, 1)
+		r.freeAfter = freeAfter
+		m.srcGroup.FaultIn(p, r.fireF)
 		return
 	}
-	pages := []mem.PageID{p}
-	for q := p + 1; int(q) < m.nPages && len(pages) < m.tun.SwapInCluster; q++ {
-		if !bm.Test(q) || m.srcTable.State(q) != mem.StateSwapped {
-			break
-		}
+	q := p + 1
+	for int(q) < m.nPages && int(q-p) < m.tun.SwapInCluster && bm.Test(q) && m.srcTable.State(q) == mem.StateSwapped {
 		bm.Clear(q)
-		pages = append(pages, q)
+		q++
 	}
-	m.srcGroup.FaultInCluster(pages, func() {
-		m.faultInFlight--
-		step := m.tun.BatchPages
-		if step < 1 {
-			step = 1
-		}
-		for i := 0; i < len(pages); i += step {
-			j := i + step
-			if j > len(pages) {
-				j = len(pages)
-			}
-			m.sendFullPages(pages[i:j], freeAfter)
-		}
-	})
+	r := m.newMsg(kindSwappedIn, p, int(q-p))
+	r.freeAfter = freeAfter
+	for x := p; x < q; x++ {
+		r.pages = append(r.pages, x)
+	}
+	m.srcGroup.FaultInCluster(r.pages, r.fireF)
 }
 
 // sendFullRun streams a run of consecutive in-memory pages starting at p as
@@ -550,52 +549,42 @@ func (m *Migration) swapInAndSend(p mem.PageID, bm *mem.Bitmap, freeAfter bool) 
 // Returns the number of pages consumed (1 with batching off, taking exactly
 // the unbatched path).
 func (m *Migration) sendFullRun(p mem.PageID, bm *mem.Bitmap, budget int, freeAfter bool, extend func(mem.PageState) bool) int {
-	maxRun := m.tun.BatchPages
-	if maxRun > budget {
-		maxRun = budget
-	}
+	maxRun := min(m.tun.BatchPages, budget)
 	if maxRun <= 1 {
 		m.sendFullPage(p, freeAfter)
 		return 1
 	}
-	run := []mem.PageID{p}
 	q := p + 1
-	for int(q) < m.nPages && len(run) < maxRun && bm.Test(q) && extend(m.srcTable.State(q)) {
+	for int(q) < m.nPages && int(q-p) < maxRun && bm.Test(q) && extend(m.srcTable.State(q)) {
 		bm.Clear(q)
-		run = append(run, q)
 		q++
 	}
 	m.cursor = q
-	m.sendFullPages(run, freeAfter)
-	return len(run)
+	m.sendFullPages(p, int(q-p), freeAfter)
+	return int(q - p)
 }
 
-// sendFullPages streams a run of pages as one message: the page bodies share
-// a single header frame, and delivery lands them at the destination in run
-// order. A single-page run takes the unbatched path exactly.
-func (m *Migration) sendFullPages(run []mem.PageID, freeAfter bool) {
-	if len(run) == 1 {
-		m.sendFullPage(run[0], freeAfter)
+// sendFullPages streams the n pages from first as one message: the page
+// bodies share a single header frame, and delivery lands them at the
+// destination in order. A single page takes the unbatched path exactly.
+func (m *Migration) sendFullPages(first mem.PageID, n int, freeAfter bool) {
+	if n == 1 {
+		m.sendFullPage(first, freeAfter)
 		return
 	}
-	m.result.PagesSent += int64(len(run))
-	batch := append([]mem.PageID(nil), run...)
-	for _, q := range batch {
+	m.result.PagesSent += int64(n)
+	end := first + mem.PageID(n)
+	for q := first; q < end; q++ {
 		m.srcTable.ClearDirty(q)
 	}
-	var bsp trace.SpanID
+	r := m.newMsg(kindFull, first, n)
 	if m.sp.Enabled() {
-		bsp = m.sp.Begin(m.eng.NowSeconds(), "batch", m.phaseSpan,
-			trace.Num("pages", float64(len(batch))))
+		r.span = m.sp.Begin(m.eng.NowSeconds(), "batch", m.phaseSpan,
+			trace.Num("pages", float64(n)))
 	}
-	m.pushFlow.SendMessage(mem.PagesToBytes(len(batch))+m.tun.PageHeaderBytes, func() {
-		for _, q := range batch {
-			m.deliverFullPage(q)
-		}
-		m.sp.End(m.eng.NowSeconds(), bsp)
-	})
+	m.pushFlow.SendMessage(mem.PagesToBytes(n)+m.tun.PageHeaderBytes, r.fireF)
 	if freeAfter {
-		for _, q := range batch {
+		for q := first; q < end; q++ {
 			m.freeSourcePage(q)
 		}
 	}
@@ -606,9 +595,7 @@ func (m *Migration) sendFullPages(run []mem.PageID, freeAfter bool) {
 func (m *Migration) sendFullPage(p mem.PageID, freeAfter bool) {
 	m.result.PagesSent++
 	m.srcTable.ClearDirty(p)
-	m.pushFlow.SendMessage(mem.PageSize+m.tun.PageHeaderBytes, func() {
-		m.deliverFullPage(p)
-	})
+	m.pushFlow.SendMessage(mem.PageSize+m.tun.PageHeaderBytes, m.newMsg(kindFull, p, 1).fireF)
 	if freeAfter {
 		m.freeSourcePage(p)
 	}
@@ -619,24 +606,13 @@ func (m *Migration) sendOffsetRecord(p mem.PageID) {
 	m.result.OffsetRecords++
 	m.offsetSent.Set(p)
 	m.srcTable.ClearDirty(p)
-	off := m.srcTable.SwapOffset(p)
-	m.pushFlow.SendMessage(m.tun.RecordBytes, func() {
-		t := m.destTable
-		if t.State(p) == mem.StateUntouched {
-			// §IV-F: store the offset in the swap offset table and set the
-			// page's bit in the swapped bitmap.
-			t.SetSwapOffset(p, off)
-			t.SetState(p, mem.StateSwapped)
-		}
-	})
+	m.sendRecord(kindOffset, p, m.srcTable.SwapOffset(p))
 }
 
 // sendUntouchedRecord tells the destination the page reads as zeros.
 func (m *Migration) sendUntouchedRecord(p mem.PageID) {
 	m.result.UntouchedRecords++
-	m.pushFlow.SendMessage(m.tun.RecordBytes, func() {
-		m.knownUntouched.Set(p)
-	})
+	m.sendRecord(kindUntouched, p, uint32(p))
 }
 
 // freeSourcePage releases the page's source memory once its content is on
@@ -677,11 +653,16 @@ func (m *Migration) deliverFullPage(p mem.PageID) {
 // requestFromSource registers a destination fault and asks the source for
 // the page (deduplicating concurrent faults on the same page).
 func (m *Migration) requestFromSource(p mem.PageID, done func()) {
-	if ws, ok := m.pendingDemand[p]; ok {
-		m.pendingDemand[p] = append(ws, done)
+	if ws := m.pendingDemand[p]; ws != nil {
+		ws.fns = append(ws.fns, done)
 		return
 	}
-	m.pendingDemand[p] = []func(){done}
+	ws := m.waitLists.Get()
+	if ws == nil {
+		ws = &waitList{}
+	}
+	ws.fns = append(ws.fns, done)
+	m.pendingDemand[p] = ws
 	m.result.DemandRequests++
 	if m.em.Enabled() {
 		m.em.Emitf(m.eng.NowSeconds(), trace.DemandFault, "page %d requested from %s", p, m.spec.Source.Name())
@@ -694,9 +675,7 @@ func (m *Migration) requestFromSource(p mem.PageID, done func()) {
 		}
 		m.demandMeta[p] = dt
 	}
-	m.ctrlFlow.SendMessage(m.tun.DemandRequestBytes, func() {
-		m.serveDemand(p, false)
-	})
+	m.ctrlFlow.SendMessage(m.tun.DemandRequestBytes, m.newMsg(kindDemandReq, p, 1).fireF)
 	if m.tun.DemandRetrySeconds > 0 {
 		m.armDemandRetry(p, m.tun.DemandRetrySeconds, 1)
 	}
@@ -724,9 +703,9 @@ func (m *Migration) armDemandRetry(p mem.PageID, delay float64, attempt int) {
 		if dt, ok := m.demandMeta[p]; ok {
 			m.sp.SetAttr(dt.span, trace.Num("retries", float64(attempt)))
 		}
-		m.ctrlFlow.SendMessage(m.tun.DemandRequestBytes, func() {
-			m.serveDemand(p, true)
-		})
+		r := m.newMsg(kindDemandReq, p, 1)
+		r.retry = true
+		m.ctrlFlow.SendMessage(m.tun.DemandRequestBytes, r.fireF)
 		next := delay * 2
 		if max := m.tun.DemandRetrySeconds * 16; next > max {
 			next = max
@@ -750,10 +729,7 @@ func (m *Migration) serveDemand(p mem.PageID, retry bool) {
 		}
 		if st := m.srcTable.State(p); st.OnSwap() {
 			m.faultInFlight++
-			m.srcGroup.FaultIn(p, func() {
-				m.faultInFlight--
-				m.respondDemand(p)
-			})
+			m.srcGroup.FaultIn(p, m.newMsg(kindDemandSwappedIn, p, 1).fireF)
 			return
 		}
 		m.respondDemand(p)
@@ -769,10 +745,7 @@ func (m *Migration) serveDemand(p mem.PageID, retry bool) {
 			return
 		}
 		m.faultInFlight++
-		m.srcGroup.FaultIn(p, func() {
-			m.faultInFlight--
-			m.respondDemand(p)
-		})
+		m.srcGroup.FaultIn(p, m.newMsg(kindDemandSwappedIn, p, 1).fireF)
 		return
 	}
 	m.respondDemand(p)
@@ -783,24 +756,18 @@ func (m *Migration) respondDemand(p mem.PageID) {
 	m.result.PagesDemandServed++
 	m.srcTable.ClearDirty(p)
 	m.outstandingDemand++
-	m.demandFlow.SendMessage(mem.PageSize+m.tun.PageHeaderBytes, func() {
-		m.deliverFullPage(p)
-		m.outstandingDemand--
-		m.maybeComplete()
-	})
+	m.demandFlow.SendMessage(mem.PageSize+m.tun.PageHeaderBytes, m.newMsg(kindDemandResp, p, 1).fireF)
 	m.freeSourcePage(p)
 }
 
 func (m *Migration) fireDemandWaiters(p mem.PageID) {
-	ws, ok := m.pendingDemand[p]
-	if !ok {
+	ws := m.pendingDemand[p]
+	if ws == nil {
 		return
 	}
 	delete(m.pendingDemand, p)
 	m.finishDemand(p)
-	for _, w := range ws {
-		w()
-	}
+	m.wake(ws)
 	m.maybeComplete()
 }
 
@@ -860,7 +827,9 @@ func (m *Migration) complete() {
 	m.demandFlow.Close()
 	m.ctrlFlow.Close()
 	if m.tech == ScatterGather && m.tun.GatherPrefetch {
-		m.startGatherPrefetch()
+		m.startGatherPrefetch() // drops the pools when the gather ends
+	} else {
+		m.dropPools()
 	}
 	if m.spec.OnComplete != nil {
 		m.spec.OnComplete(&m.result)

@@ -83,11 +83,7 @@ func (m *Migration) pumpScatter() {
 			// A guest fault was in flight at suspend time; its slot frees
 			// on completion, so scatter the page once it lands.
 			m.faultInFlight++
-			p := p
-			m.srcGroup.FaultIn(p, func() {
-				m.faultInFlight--
-				m.scatterPage(p)
-			})
+			m.srcGroup.FaultIn(p, m.newMsg(kindScatterSwappedIn, p, 1).fireF)
 		case mem.StateEvicting:
 			// The page's own eviction is already writing it to the
 			// namespace; let it finish and pick the page up as Swapped on
@@ -107,48 +103,37 @@ func (m *Migration) pumpScatter() {
 // remaining pump budget. Returns the number of pages consumed; with
 // batching off it scatters exactly one page the unbatched way.
 func (m *Migration) scatterRun(p mem.PageID, budget int) int {
-	maxRun := m.tun.BatchPages
-	if maxRun > budget {
-		maxRun = budget
-	}
+	maxRun := min(m.tun.BatchPages, budget)
 	if maxRun <= 1 {
 		m.scatterPage(p)
 		return 1
 	}
-	run := []mem.PageID{p}
 	q := p + 1
-	for int(q) < m.nPages && len(run) < maxRun && m.pushBM.Test(q) && m.srcTable.State(q) == mem.StateResident {
+	for int(q) < m.nPages && int(q-p) < maxRun && m.pushBM.Test(q) && m.srcTable.State(q) == mem.StateResident {
 		m.pushBM.Clear(q)
-		run = append(run, q)
 		q++
 	}
 	m.cursor = q
-	if len(run) == 1 {
+	n := int(q - p)
+	if n == 1 {
 		m.scatterPage(p)
 		return 1
 	}
 	m.scatterInFlight++
-	m.result.PagesScattered += int64(len(run))
-	offs := make([]uint32, len(run))
-	for i, r := range run {
-		offs[i] = uint32(r)
+	m.result.PagesScattered += int64(n)
+	// WriteBatch reads the offsets during the call, so one scratch slice
+	// serves every batch.
+	m.offs = m.offs[:0]
+	for x := p; x < q; x++ {
+		m.offs = append(m.offs, uint32(x))
 	}
-	var bsp trace.SpanID
+	r := m.newMsg(kindScattered, p, n)
 	if m.sp.Enabled() {
-		bsp = m.sp.Begin(m.eng.NowSeconds(), "scatter-batch", m.phaseSpan,
-			trace.Num("pages", float64(len(run))))
+		r.span = m.sp.Begin(m.eng.NowSeconds(), "scatter-batch", m.phaseSpan,
+			trace.Num("pages", float64(n)))
 	}
-	ns := m.spec.Namespace
-	src := m.spec.Source.VMDClient()
-	ns.WriteBatch(src, offs, func() {
-		m.scatterInFlight--
-		m.sp.End(m.eng.NowSeconds(), bsp)
-		for _, r := range run {
-			m.freeSourcePage(r)
-		}
-		m.sendScatterRecords(run)
-	})
-	return len(run)
+	m.spec.Namespace.WriteBatch(m.spec.Source.VMDClient(), m.offs, r.fireF)
+	return n
 }
 
 // scatterPage writes one resident page into the VM's namespace through the
@@ -157,13 +142,7 @@ func (m *Migration) scatterRun(p mem.PageID, budget int) int {
 func (m *Migration) scatterPage(p mem.PageID) {
 	m.scatterInFlight++
 	m.result.PagesScattered++
-	ns := m.spec.Namespace
-	src := m.spec.Source.VMDClient()
-	ns.Write(src, uint32(p), func() {
-		m.scatterInFlight--
-		m.freeSourcePage(p)
-		m.sendScatterRecord(p, uint32(p))
-	})
+	m.spec.Namespace.Write(m.spec.Source.VMDClient(), uint32(p), m.newMsg(kindScattered, p, 1).fireF)
 }
 
 // sendScatterRecord ships a swapped-bitmap record to the destination after
@@ -172,20 +151,19 @@ func (m *Migration) scatterPage(p mem.PageID) {
 // resolve faults already waiting on the page.
 func (m *Migration) sendScatterRecord(p mem.PageID, off uint32) {
 	m.result.OffsetRecords++
-	m.pushFlow.SendMessage(m.tun.RecordBytes, func() {
-		m.deliverScatterRecord(p, off)
-	})
+	m.sendRecord(kindScatter, p, off)
 }
 
-// sendScatterRecords ships one record per page of a batch-scattered run in
-// a single message (the records share the wire like the page bodies did).
-func (m *Migration) sendScatterRecords(run []mem.PageID) {
-	m.result.OffsetRecords += int64(len(run))
-	m.pushFlow.SendMessage(int64(len(run))*m.tun.RecordBytes, func() {
-		for _, p := range run {
-			m.deliverScatterRecord(p, uint32(p))
-		}
-	})
+// sendScatterRecords ships the records of the n pages from first, each at
+// its own page's slot, after they were scattered by one write: with more
+// than one page they share one message, as the page bodies did.
+func (m *Migration) sendScatterRecords(first mem.PageID, n int) {
+	if n == 1 {
+		m.sendScatterRecord(first, uint32(first))
+		return
+	}
+	m.result.OffsetRecords += int64(n)
+	m.pushFlow.SendMessage(int64(n)*m.tun.RecordBytes, m.newMsg(kindScatterBatch, first, n).fireF)
 }
 
 // deliverScatterRecord lands one swapped-bitmap record at the destination.
@@ -195,23 +173,20 @@ func (m *Migration) deliverScatterRecord(p mem.PageID, off uint32) {
 		t.SetSwapOffset(p, off)
 		t.SetState(p, mem.StateSwapped)
 	}
-	if ws, ok := m.pendingDemand[p]; ok {
+	if ws := m.pendingDemand[p]; ws != nil {
 		// Faults were waiting for this page; it is now reachable on
 		// the swap device.
 		delete(m.pendingDemand, p)
-		m.destGroup.FaultIn(p, func() {
-			m.finishDemand(p)
-			for _, w := range ws {
-				w()
-			}
-			m.maybeComplete()
-		})
+		r := m.newMsg(kindWaitersIn, p, 1)
+		r.waiters = ws
+		m.destGroup.FaultIn(p, r.fireF)
 	}
 }
 
 // startGatherPrefetch actively pulls scattered pages into the
 // destination's reservation after the source is free (the "gather" of the
 // original system; without it, pages arrive only as the workload faults).
+// The migration's record pools are dropped when the gather ends.
 func (m *Migration) startGatherPrefetch() {
 	m.event(trace.GatherStart, "prefetching scattered pages into %s", m.spec.Dest.Name())
 	var gsp trace.SpanID
@@ -222,15 +197,14 @@ func (m *Migration) startGatherPrefetch() {
 		gsp = m.sp.Begin(m.eng.NowSeconds(), "gather", m.rootSpan)
 	}
 	var cursor mem.PageID
-	inFlight := 0
 	done := false
 	// The hint mirrors the tick body's guards exactly: whenever the body
-	// would fall through without touching cursor/inFlight (finished, fetch
-	// window full, or no reservation headroom), the tick is a no-op and the
-	// engine may skip; fault completions and reclaim run off their own
-	// wakes.
+	// would fall through without touching cursor/gatherInFlight (finished,
+	// fetch window full, or no reservation headroom), the tick is a no-op
+	// and the engine may skip; fault completions and reclaim run off their
+	// own wakes.
 	hint := func(now sim.Time) (sim.Time, bool) {
-		if done || inFlight >= m.tun.MaxSwapInFlight ||
+		if done || m.gatherInFlight >= m.tun.MaxSwapInFlight ||
 			mem.BytesToPages(m.destGroup.ReservationBytes()) <= m.destTable.InRAM() {
 			return sim.Never, true
 		}
@@ -241,25 +215,27 @@ func (m *Migration) startGatherPrefetch() {
 			return
 		}
 		headroom := mem.BytesToPages(m.destGroup.ReservationBytes()) - m.destTable.InRAM()
-		for inFlight < m.tun.MaxSwapInFlight && headroom > 0 {
+		for m.gatherInFlight < m.tun.MaxSwapInFlight && headroom > 0 {
 			// Collect the next cluster of swapped pages.
-			var batch []mem.PageID
-			for p := cursor; int(p) < m.nPages && len(batch) < m.tun.SwapInCluster; p++ {
+			r := m.newMsg(kindGathered, 0, 0)
+			for p := cursor; int(p) < m.nPages && len(r.pages) < m.tun.SwapInCluster; p++ {
 				cursor = p + 1
 				if m.destTable.State(p) == mem.StateSwapped {
-					batch = append(batch, p)
+					r.pages = append(r.pages, p)
 				}
 			}
-			if len(batch) == 0 {
+			if len(r.pages) == 0 {
+				m.msgs.Put(r)
 				if int(cursor) >= m.nPages {
 					done = true
 					m.sp.End(m.eng.NowSeconds(), gsp)
+					m.dropPools()
 				}
 				return
 			}
-			inFlight++
-			headroom -= len(batch)
-			m.destGroup.FaultInCluster(batch, func() { inFlight-- })
+			m.gatherInFlight++
+			headroom -= len(r.pages)
+			m.destGroup.FaultInCluster(r.pages, r.fireF)
 		}
 	}, hint)
 }

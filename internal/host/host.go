@@ -14,6 +14,7 @@ import (
 	"agilemig/internal/guest"
 	"agilemig/internal/mem"
 	"agilemig/internal/metrics"
+	"agilemig/internal/pool"
 	"agilemig/internal/sim"
 	"agilemig/internal/simnet"
 	"agilemig/internal/trace"
@@ -242,6 +243,31 @@ func (b *PartitionBackend) ReadCluster(offs []uint32, done func()) {
 type NamespaceBackend struct {
 	ns     *vmd.Namespace
 	client *vmd.Client
+	joins  pool.Freelist[readJoin]
+}
+
+// readJoin runs an unbatched cluster read's done once its last page read
+// completes. It recycles as it runs done; a join one of whose reads never
+// completes (a message a loss window dropped) is left to the garbage
+// collector.
+type readJoin struct {
+	b     *NamespaceBackend
+	left  int
+	done  func()
+	readF func()
+}
+
+// pageRead counts one page read of the cluster down.
+func (j *readJoin) pageRead() {
+	if j.left--; j.left > 0 {
+		return
+	}
+	done := j.done
+	j.done = nil
+	j.b.joins.Put(j)
+	if done != nil {
+		done()
+	}
 }
 
 // Namespace returns the underlying VMD namespace.
@@ -276,13 +302,13 @@ func (b *NamespaceBackend) ReadCluster(offs []uint32, done func()) {
 		b.ns.ReadBatch(b.client, offs, done)
 		return
 	}
-	remaining := len(offs)
+	j := b.joins.Get()
+	if j == nil {
+		j = &readJoin{b: b}
+		j.readF = j.pageRead
+	}
+	j.left, j.done = len(offs), done
 	for _, off := range offs {
-		b.ns.Read(b.client, off, func() {
-			remaining--
-			if remaining == 0 && done != nil {
-				done()
-			}
-		})
+		b.ns.Read(b.client, off, j.readF)
 	}
 }

@@ -151,7 +151,10 @@ func (q *eventQueue) pop() scheduledEvent {
 type Engine struct {
 	now     Time
 	tickLen time.Duration
-	tickers [numPhases][]tickerEntry
+	// secPerTick is tickLen.Seconds(), cached: NowSeconds runs on every
+	// operation a workload issues.
+	secPerTick float64
+	tickers    [numPhases][]tickerEntry
 	// unhinted counts registered tickers without an IdleHinter; any such
 	// ticker disables fast-forward for the whole run (it must see every
 	// tick).
@@ -175,7 +178,7 @@ func NewEngineTick(seed uint64, tickLen time.Duration) *Engine {
 	if tickLen <= 0 {
 		panic("sim: non-positive tick length")
 	}
-	return &Engine{tickLen: tickLen, rng: NewRNG(seed), ff: true}
+	return &Engine{tickLen: tickLen, secPerTick: tickLen.Seconds(), rng: NewRNG(seed), ff: true}
 }
 
 // SetFastForward enables or disables idle fast-forward (on by default).
@@ -189,8 +192,9 @@ func (e *Engine) FastForwardEnabled() bool { return e.ff }
 // Now returns the current simulated time in ticks.
 func (e *Engine) Now() Time { return e.now }
 
-// NowSeconds returns the current simulated time in seconds.
-func (e *Engine) NowSeconds() float64 { return Seconds(e.now, e.tickLen) }
+// NowSeconds returns the current simulated time in seconds; it equals
+// Seconds(e.Now(), e.TickLen()).
+func (e *Engine) NowSeconds() float64 { return float64(e.now) * e.secPerTick }
 
 // TickLen returns the simulated length of one tick.
 func (e *Engine) TickLen() time.Duration { return e.tickLen }

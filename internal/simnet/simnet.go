@@ -24,9 +24,12 @@ import (
 // Network owns all NICs and flows and performs per-tick arbitration. It
 // registers itself in sim.PhaseNetwork.
 type Network struct {
-	eng   *sim.Engine
-	nics  []*NIC
-	flows []*Flow
+	eng  *sim.Engine
+	nics []*NIC
+	// flows lists the open flows in creation order. A flow closed since
+	// the last tick stays listed until that tick's end; closed counts them.
+	flows  []*Flow
+	closed int
 
 	// arbitration scratch, reused across ticks to keep the per-tick path
 	// allocation-free
@@ -324,8 +327,11 @@ func (f *Flow) lost(bytes int64) bool {
 // message callbacks never fire. The migration engines close their flows
 // when a migration completes or aborts.
 func (f *Flow) Close() {
-	if !f.closed && f.net != nil && f.net.em.Enabled() {
-		f.net.em.Emitf(f.net.eng.NowSeconds(), trace.FlowClose, "%s (%d bytes delivered)", f.name, f.delivered)
+	if !f.closed && f.net != nil {
+		f.net.closed++
+		if f.net.em.Enabled() {
+			f.net.em.Emitf(f.net.eng.NowSeconds(), trace.FlowClose, "%s (%d bytes delivered)", f.name, f.delivered)
+		}
 	}
 	f.closed = true
 	f.backlog = 0
@@ -354,10 +360,28 @@ func (f *Flow) InFlight() int64 {
 	return t
 }
 
-// Tick delivers due bytes and then arbitrates this tick's bandwidth.
+// Tick delivers due bytes, arbitrates this tick's bandwidth, and then
+// drops the flows closed since the last tick from the list it scans.
 func (n *Network) Tick(now sim.Time) {
 	n.deliver(now)
 	n.arbitrate()
+	if n.closed > 0 {
+		n.dropClosed()
+	}
+}
+
+// dropClosed removes closed flows from n.flows by a stable compaction.
+// deliver, arbitrate and NextWake skip a closed flow anyway; dropping it
+// saves their per-tick visit, and keeping the order keeps every result.
+func (n *Network) dropClosed() {
+	open := n.flows[:0]
+	for _, f := range n.flows {
+		if !f.closed {
+			open = append(open, f)
+		}
+	}
+	clear(n.flows[len(open):])
+	n.flows, n.closed = open, 0
 }
 
 // NextWake reports when the network next has work: immediately while any
@@ -552,5 +576,5 @@ func (n *Network) activeFlows() []*Flow {
 
 // String describes the network for debugging.
 func (n *Network) String() string {
-	return fmt.Sprintf("simnet{%d nics, %d flows}", len(n.nics), len(n.flows))
+	return fmt.Sprintf("simnet{%d nics, %d open flows}", len(n.nics), len(n.flows)-n.closed)
 }

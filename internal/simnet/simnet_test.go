@@ -302,3 +302,56 @@ func TestFlowOfferedAccounting(t *testing.T) {
 		t.Fatalf("Delivered = %d", f.Delivered())
 	}
 }
+
+// TestFlowClosedInCallbackDropsOut: a flow closed from inside another
+// flow's message callback leaves the network's flow list at the end of the
+// tick. Every other flow's callbacks still fire in that tick and in
+// creation order, and so do later ticks' callbacks.
+func TestFlowClosedInCallbackDropsOut(t *testing.T) {
+	eng, net, nics := testNet(t, 1_000_000, "a", "b")
+	var flows []*Flow
+	for _, name := range []string{"f0", "f1", "f2", "f3"} {
+		flows = append(flows, net.NewFlow(name, nics["a"], nics["b"], 0))
+	}
+	var got []string
+	var at []sim.Time
+	send := func(f *Flow, then func()) {
+		f.SendMessage(10, func() {
+			got = append(got, f.Name())
+			at = append(at, eng.Now())
+			if then != nil {
+				then()
+			}
+		})
+	}
+	check := func(want ...string) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("callbacks %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] || at[i] != at[0] {
+				t.Fatalf("callbacks %v at ticks %v, want %v in one tick", got, at, want)
+			}
+		}
+		got, at = got[:0], at[:0]
+	}
+
+	send(flows[0], nil)
+	send(flows[1], func() { flows[0].Close(); flows[3].Close() })
+	send(flows[2], nil)
+	send(flows[3], nil)
+	eng.Run(10)
+	// f3 closed before its turn came, so its callback never fires.
+	check("f0", "f1", "f2")
+	if len(net.flows) != 2 || net.flows[0] != flows[1] || net.flows[1] != flows[2] {
+		t.Fatalf("flow list %v after the tick, want [f1 f2]", net.flows)
+	}
+
+	f4 := net.NewFlow("f4", nics["b"], nics["a"], 0)
+	send(flows[2], nil)
+	send(f4, nil)
+	send(flows[1], nil)
+	eng.Run(20)
+	check("f1", "f2", "f4")
+}

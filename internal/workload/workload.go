@@ -160,8 +160,10 @@ type Client struct {
 
 	// lat, when set, observes each operation's client-visible latency in
 	// seconds (issue to response arrival). Nil keeps the fast path
-	// observation-free.
-	lat *metrics.Histogram
+	// observation-free. secPerTick converts an op's issue tick to the
+	// seconds the engine's clock would have read then.
+	lat        *metrics.Histogram
+	secPerTick float64
 
 	// free is a freelist of op records. Each op's lifecycle spans several
 	// network and fault callbacks; pooling the record and its three
@@ -179,7 +181,7 @@ type op struct {
 	respFlow *simnet.Flow
 	pending  int
 	stalled  bool
-	issuedAt float64 // seconds, for the latency histogram
+	issuedAt sim.Time // for the latency histogram
 
 	executeF func() // request delivered at the VM host
 	finishF  func() // one touched page became usable
@@ -195,14 +197,15 @@ func NewClient(eng *sim.Engine, cfg ClientConfig, store *KVStore, d dist.Dist,
 		panic("workload: client with no capacity")
 	}
 	c := &Client{
-		eng:      eng,
-		cfg:      cfg,
-		store:    store,
-		rng:      rng,
-		d:        d,
-		reqFlow:  reqFlow,
-		respFlow: respFlow,
-		perTick:  cfg.MaxOpsPerSecond * eng.TickLen().Seconds(),
+		eng:        eng,
+		cfg:        cfg,
+		store:      store,
+		rng:        rng,
+		d:          d,
+		reqFlow:    reqFlow,
+		respFlow:   respFlow,
+		perTick:    cfg.MaxOpsPerSecond * eng.TickLen().Seconds(),
+		secPerTick: eng.TickLen().Seconds(),
 	}
 	eng.AddTicker(sim.PhaseWorkload, c)
 	return c
@@ -306,7 +309,7 @@ func (c *Client) startOp() {
 	o.respFlow = c.respFlow
 	o.pending = 0
 	o.stalled = false
-	o.issuedAt = c.eng.NowSeconds()
+	o.issuedAt = c.eng.Now()
 	c.reqFlow.SendMessage(c.cfg.RequestBytes, o.executeF)
 }
 
@@ -362,7 +365,7 @@ func (o *op) finish() {
 // simply never recycled.
 func (o *op) done() {
 	c := o.c
-	c.lat.Observe(c.eng.NowSeconds() - o.issuedAt)
+	c.lat.Observe(c.eng.NowSeconds() - float64(o.issuedAt)*c.secPerTick)
 	c.opsCompleted++
 	if o.write {
 		c.writesDone++
