@@ -33,8 +33,8 @@
 // / cluster.Fleet): every experiment produces byte-identical output at any
 // -shards value and GOMAXPROCS — CI diffs exactly that matrix. The paper
 // testbed is one network-arbitration domain, so its experiments keep all
-// hosts on shard 0; the fleet experiment genuinely spreads its cells (set
-// -cells to resize it) across the shards.
+// hosts on engine 0; the fleet experiment gives each cell (set -cells to
+// resize it) its own engine, and -shards workers run those engines.
 //
 // The -faults flag injects a deterministic fault schedule into the
 // quickstart runs (e.g. -faults crash:inter1@130+10,loss:source@125+5=0.2)

@@ -55,13 +55,14 @@ type Config struct {
 	DisableFastForward bool
 
 	// Shards selects the parallel kernel: the testbed runs inside a
-	// sim.ShardGroup of this many engines (0 or 1 keeps the plain serial
-	// engine). The paper's testbed is one network-arbitration domain —
-	// simnet's max-min fairness couples every NIC — so all of its hosts
-	// stay on shard 0 regardless of the shard count and extra shards idle;
-	// results are byte-identical at any Shards and GOMAXPROCS, which the
-	// golden equivalence tests assert. Genuinely partitioned workloads
-	// (cluster.Fleet) spread their cells across the shards instead.
+	// sim.ShardGroup of this many engines and workers (0 or 1 keeps the
+	// plain serial engine). The paper's testbed is one network-arbitration
+	// domain — simnet's max-min fairness couples every NIC — so all of its
+	// hosts stay on engine 0 regardless of the shard count and the other
+	// engines idle; results are byte-identical at any Shards and
+	// GOMAXPROCS, which the golden equivalence tests assert. Genuinely
+	// partitioned workloads (cluster.Fleet) give each cell its own engine
+	// instead.
 	Shards int
 
 	// Replicas is the VMD replication factor K: every swapped page is

@@ -13,22 +13,22 @@ import (
 )
 
 // FleetConfig shapes a Fleet: an evacuation-scale cluster of independent
-// migration cells spread across the shards of the parallel kernel. Each
+// migration cells, each on its own engine of the parallel kernel. Each
 // cell is a miniature paper testbed — source host, destination host, one
 // VMD intermediate, an external client — with its own simnet.Network:
 // simnet's max-min fairness couples every NIC of one network into a single
-// arbitration domain, so the network is the unit of shard ownership
+// arbitration domain, so the network is the unit of engine ownership
 // (DESIGN.md §6g) and giving each cell its own keeps cells independent and
-// shardable.
+// parallel.
 type FleetConfig struct {
 	Seed uint64
 	// Cells is the number of migration cells; each contributes two full
 	// hosts plus an intermediate, so the default 32 is a 64-host cluster.
 	Cells int
-	// Shards is the parallel kernel width (default 1, the serial
-	// reference). Cells are block-assigned: cell i lives on shard
-	// i*Shards/Cells, so concatenating per-shard output in shard order
-	// yields cell order at any shard count.
+	// Shards is the parallel kernel width: how many workers run the
+	// cells' engines within a lookahead window (default 1, the serial
+	// reference; at most Cells). Every cell has its own engine whatever
+	// the width, so output is identical at any Shards value.
 	Shards int
 
 	HostRAMBytes         int64
@@ -79,7 +79,7 @@ type FleetConfig struct {
 	FaultCells []int
 
 	// Observe attaches one trace and one metrics registry per cell
-	// (disjoint per shard by construction, which the -race isolation test
+	// (disjoint per engine by construction, which the -race isolation test
 	// relies on). Merged views are deterministic at any shard count.
 	Observe bool
 	// TraceCapacity bounds each cell's ring when Observe is set (0 selects
@@ -124,11 +124,10 @@ func DefaultFleetConfig() FleetConfig {
 }
 
 // FleetRow is one cell's evacuation outcome. Every field is captured at a
-// deterministic simulated time on the cell's own shard, so rows are
+// deterministic simulated time on the cell's own engine, so rows are
 // byte-identical across shard counts and GOMAXPROCS.
 type FleetRow struct {
 	Cell             string
-	Shard            int
 	StartedAtSeconds float64
 	DoneAtSeconds    float64
 	TotalSeconds     float64
@@ -151,20 +150,20 @@ const (
 	FleetOutcomeUnfinished = "unfinished"
 )
 
-// fleetCell is one migration cell: a Testbed on its shard's engine, seen
-// through its one VM. Everything it owns lives on that shard.
+// fleetCell is one migration cell: a Testbed on its own engine, seen
+// through its one VM. Everything it owns lives on that engine.
 type fleetCell struct {
 	vm  *VMHandle
 	row FleetRow
-	// abortReason is set (on the cell's shard) before the watchdog calls
+	// abortReason is set (on the cell's engine) before the watchdog calls
 	// Abort, so the completion callback can attribute the rollback.
 	abortReason string
 }
 
 // Fleet is the assembled evacuation cluster: Cells independent migration
-// cells sharded over a sim.ShardGroup, plus an evacuation controller on
-// shard 0 that staggers the migration start commands over control links
-// and stops the run once every cell reports completion.
+// cells, each on its own engine of a sim.ShardGroup, plus an evacuation
+// controller on engine 0 that staggers the migration start commands over
+// control links and stops the run once every cell reports completion.
 type Fleet struct {
 	Cfg   FleetConfig
 	Group *sim.ShardGroup
@@ -188,63 +187,50 @@ func NewFleet(cfg FleetConfig) *Fleet {
 		cfg.Shards = cfg.Cells
 	}
 	g := sim.NewShardGroup(cfg.Seed, cfg.Shards)
-	if cfg.DisableFastForward {
-		for i := 0; i < g.Shards(); i++ {
-			g.Engine(i).SetFastForward(false)
-		}
-	}
 	f := &Fleet{Cfg: cfg, Group: g}
-
-	// Control links in both directions for every shard, shard 0 included:
-	// self-links count toward the lookahead bound, so the window grid —
-	// and with it every barrier and drain point — is identical whether the
-	// fleet runs on one shard or many.
-	ctrlLat := g.Engine(0).SecondsToTicks(cfg.ControlLatencySeconds)
+	eng0 := g.Engine(0)
+	ctrlLat := eng0.SecondsToTicks(cfg.ControlLatencySeconds)
 	if ctrlLat < 1 {
 		ctrlLat = 1
 	}
-	starts := make([]*sim.ShardLink, cfg.Shards)
-	dones := make([]*sim.ShardLink, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		starts[s] = g.Link(0, s, ctrlLat, 0)
-		dones[s] = g.Link(s, 0, ctrlLat, 0)
-	}
-
-	for i := 0; i < cfg.Cells; i++ {
-		f.cells = append(f.cells, f.buildCell(i))
-	}
-
-	// The controller: one staggered start command per cell, issued from
-	// shard 0. The completion handler is commutative (a count and a stop
-	// timer), as same-tick cross-shard arrivals drain in source-shard
-	// order — see the §6g proof obligations.
-	eng0 := g.Engine(0)
 	stagger := eng0.SecondsToTicks(cfg.StaggerSeconds)
 	if stagger < 1 {
 		stagger = 1
 	}
 	warmup := eng0.SecondsToTicks(cfg.WarmupSeconds)
-	for i, c := range f.cells {
-		c := c
+
+	// The controller on engine 0 issues one staggered start command per
+	// cell over the cell's control links. The completion handler is
+	// commutative (a count and a stop timer), as same-tick arrivals from
+	// different cells drain in engine order — see the §6g proof
+	// obligations.
+	for i := 0; i < cfg.Cells; i++ {
+		c, e := f.buildCell(i)
+		f.cells = append(f.cells, c)
+		start := g.Link(0, e, ctrlLat, 0)
+		back := g.Link(e, 0, ctrlLat, 0)
 		at := sim.Time(warmup) + sim.Time(int64(i)*int64(stagger))
-		link := starts[c.row.Shard]
-		back := dones[c.row.Shard]
 		eng0.Schedule(at, func() {
-			link.Send(0, func() {
+			start.Send(0, func() {
 				f.startCell(c, func() { back.Send(0, f.cellCompleted) })
 			})
 		})
 	}
+	if cfg.DisableFastForward {
+		for i := 0; i < g.Engines(); i++ {
+			g.Engine(i).SetFastForward(false)
+		}
+	}
 	return f
 }
 
-// buildCell assembles cell i on its block-assigned shard: a Testbed whose
-// actors carry the "cellNNN-" prefix, with one Agile-deployed VM and its
-// YCSB client.
-func (f *Fleet) buildCell(i int) *fleetCell {
+// buildCell assembles cell i on an engine of its own, whose index it
+// returns: a Testbed whose actors carry the "cellNNN-" prefix, with one
+// Agile-deployed VM and its YCSB client.
+func (f *Fleet) buildCell(i int) (*fleetCell, int) {
 	cfg := f.Cfg
 	name := fmt.Sprintf("cell%03d", i)
-	shard := i * cfg.Shards / cfg.Cells
+	e := f.Group.AddEngine(name)
 	tcfg := Config{
 		Seed:                 cfg.Seed,
 		HostRAMBytes:         cfg.HostRAMBytes,
@@ -264,9 +250,9 @@ func (f *Fleet) buildCell(i int) *fleetCell {
 	if f.cellFaulted(i) {
 		tcfg.Faults = cfg.Faults
 	}
-	tb := build(f.Group.Engine(shard), tcfg, name+"-", sim.SeedForName(cfg.Seed, name+"/loss"))
+	tb := build(f.Group.Engine(e), tcfg, name+"-", sim.SeedForName(cfg.Seed, name+"/loss"))
 
-	c := &fleetCell{row: FleetRow{Cell: name, Shard: shard}}
+	c := &fleetCell{row: FleetRow{Cell: name}}
 	c.vm = tb.DeployVM(name+"-vm", cfg.VMMemBytes, cfg.ReservationBytes, true)
 	c.vm.LoadDataset(cfg.DatasetBytes)
 	wcfg := workload.YCSB()
@@ -274,12 +260,12 @@ func (f *Fleet) buildCell(i int) *fleetCell {
 	wcfg.MaxOpsPerSecond = cfg.MaxOpsPerSecond
 	wcfg.Concurrency = 8
 	wcfg.WriteFraction = cfg.WriteFraction
-	// The client stream is derived from (seed, cell name), never from a
-	// shard engine's master stream: the draw sequence is independent of
-	// construction order and of which shard the cell landed on.
+	// The client stream is derived from (seed, cell name), never from an
+	// engine's master stream: the draw sequence is independent of
+	// construction order and of the engine layout.
 	c.vm.attachClient(wcfg, dist.NewUniform(c.vm.Store.Records()),
 		sim.NewRNG(sim.SeedForName(cfg.Seed, name+"/client")))
-	return c
+	return c, e
 }
 
 // cellFaulted reports whether cell i is afflicted by the fleet fault plan.
@@ -295,17 +281,17 @@ func (f *Fleet) cellFaulted(i int) bool {
 	return false
 }
 
-// startCell runs on the cell's own shard when the controller's start
+// startCell runs on the cell's own engine when the controller's start
 // command arrives: it records the start time and launches the Agile
 // migration to the cell's destination, wiring onDone to fire (still on the
-// cell's shard) when the migration reaches a terminal state.
+// cell's engine) when the migration reaches a terminal state.
 func (f *Fleet) startCell(c *fleetCell, onDone func()) {
 	tb := c.vm.tb
 	c.row.StartedAtSeconds = tb.Eng.NowSeconds()
 	m, err := tb.Launch(c.vm.VM.Name(), tb.Dest.Name(), core.Agile, f.Cfg.ReservationBytes, 0,
 		func(res *core.Result) {
 			// Everything in the row is read at the completion tick, on the
-			// cell's shard — deterministic however long the run continues.
+			// cell's engine — deterministic however long the run continues.
 			c.row.DoneAtSeconds = tb.Eng.NowSeconds()
 			c.row.TotalSeconds = res.TotalSeconds
 			c.row.DowntimeSeconds = res.DowntimeSeconds
@@ -340,7 +326,7 @@ func (f *Fleet) startCell(c *fleetCell, onDone func()) {
 	}
 }
 
-// cellCompleted runs on shard 0 each time a cell's terminal report —
+// cellCompleted runs on engine 0 each time a cell's terminal report —
 // evacuated or rolled back — arrives over its control link; the last one
 // arms the settle-and-stop timer.
 func (f *Fleet) cellCompleted() {
@@ -403,7 +389,7 @@ func (f *Fleet) RunEvacuation(maxSeconds float64) EvacuationResult {
 }
 
 // Rows returns the per-cell outcomes in cell order. Call it only between
-// runs (at a barrier), when every shard is quiescent.
+// runs (at a barrier), when every engine is quiescent.
 func (f *Fleet) Rows() []FleetRow {
 	rows := make([]FleetRow, len(f.cells))
 	for i, c := range f.cells {
@@ -464,7 +450,7 @@ func (f *Fleet) OpenSpans() int {
 }
 
 // CellTrace returns cell i's private trace (nil without Observe); the
-// -race sink-isolation test uses it to prove shards share no emitter.
+// -race sink-isolation test uses it to prove cells share no emitter.
 func (f *Fleet) CellTrace(i int) *trace.Trace { return f.cells[i].vm.tb.Cfg.Trace }
 
 // CellRegistry returns cell i's private metrics registry (nil without

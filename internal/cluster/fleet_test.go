@@ -47,28 +47,23 @@ func TestFleetEvacuationCompletes(t *testing.T) {
 }
 
 // fleetOutputs runs one fleet to completion and captures every observable
-// output: rows (Shard zeroed — placement is the one field that legitimately
-// depends on the shard count), the merged trace JSONL, and the per-cell
-// metrics JSONL concatenated in cell order.
-func fleetOutputs(t *testing.T, cells, shards, gomaxprocs int) ([]FleetRow, []byte, []byte) {
+// output: rows, the merged trace JSONL, and the per-cell metrics JSONL
+// concatenated in cell order.
+func fleetOutputs(t *testing.T, cfg FleetConfig, gomaxprocs int) ([]FleetRow, []byte, []byte) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gomaxprocs))
-	cfg := testFleetConfig(cells, shards)
 	cfg.Observe = true
 	f := NewFleet(cfg)
 	if res := f.RunEvacuation(600); !res.Success() {
-		t.Fatalf("evacuation incomplete at %d shards", shards)
+		t.Fatalf("evacuation incomplete at %d shards", cfg.Shards)
 	}
 	rows := f.Rows()
-	for i := range rows {
-		rows[i].Shard = 0
-	}
 	var tj bytes.Buffer
 	if err := trace.WriteEventsJSONL(&tj, f.MergedTraceEvents(), f.TraceDrops()); err != nil {
 		t.Fatal(err)
 	}
 	var mj bytes.Buffer
-	for i := 0; i < cells; i++ {
+	for i := 0; i < cfg.Cells; i++ {
 		if err := f.CellRegistry(i).WriteJSONL(&mj); err != nil {
 			t.Fatal(err)
 		}
@@ -82,14 +77,14 @@ func fleetOutputs(t *testing.T, cells, shards, gomaxprocs int) ([]FleetRow, []by
 // (shard count, GOMAXPROCS) combination.
 func TestFleetShardEquivalence(t *testing.T) {
 	const cells = 6
-	refRows, refTrace, refMetrics := fleetOutputs(t, cells, 1, 1)
+	refRows, refTrace, refMetrics := fleetOutputs(t, testFleetConfig(cells, 1), 1)
 	if len(refTrace) == 0 || len(refMetrics) == 0 {
 		t.Fatalf("reference run produced no observability output")
 	}
 	for _, tc := range []struct{ shards, procs int }{
-		{1, 8}, {3, 1}, {3, 8}, {6, 8},
+		{1, 8}, {2, 2}, {3, 1}, {3, 8}, {4, 2}, {6, 8},
 	} {
-		rows, tr, mr := fleetOutputs(t, cells, tc.shards, tc.procs)
+		rows, tr, mr := fleetOutputs(t, testFleetConfig(cells, tc.shards), tc.procs)
 		for i := range rows {
 			if rows[i] != refRows[i] {
 				t.Errorf("shards=%d procs=%d: row %d diverged:\n got %+v\nwant %+v",
@@ -107,13 +102,33 @@ func TestFleetShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedFleetIsolatedSinks proves concurrently running shards never
+// TestFleetFastForwardEquivalence: every cell runs on its own engine and
+// so skips its own idle spans; the outputs must match a tick-by-tick run.
+func TestFleetFastForwardEquivalence(t *testing.T) {
+	cfg := testFleetConfig(6, 2)
+	rows, tr, mr := fleetOutputs(t, cfg, 2)
+	cfg.DisableFastForward = true
+	refRows, refTrace, refMetrics := fleetOutputs(t, cfg, 2)
+	for i := range rows {
+		if rows[i] != refRows[i] {
+			t.Errorf("row %d diverged with fast-forward on:\n got %+v\nwant %+v", i, rows[i], refRows[i])
+		}
+	}
+	if !bytes.Equal(tr, refTrace) {
+		t.Errorf("merged trace JSONL diverged with fast-forward on (%d vs %d bytes)", len(tr), len(refTrace))
+	}
+	if !bytes.Equal(mr, refMetrics) {
+		t.Errorf("metrics JSONL diverged with fast-forward on (%d vs %d bytes)", len(mr), len(refMetrics))
+	}
+}
+
+// TestShardedFleetIsolatedSinks proves concurrently running cells never
 // share a trace or metrics sink: every cell's ring holds only that cell's
 // actors, and the run is clean under -race (the CI test job), which would
 // flag any cross-shard emitter write.
 func TestShardedFleetIsolatedSinks(t *testing.T) {
 	const cells = 4
-	cfg := testFleetConfig(cells, cells) // one cell per shard: maximal parallelism
+	cfg := testFleetConfig(cells, cells) // one worker per cell: maximal parallelism
 	cfg.Observe = true
 	cfg.TraceCapacity = 1 << 16 // keep the t=0 flow opens in the ring
 	f := NewFleet(cfg)

@@ -50,8 +50,8 @@ type FleetReport struct {
 }
 
 // RunFleet builds and runs the evacuation. Results are byte-identical at
-// any Shards value and GOMAXPROCS (modulo the Shard placement column),
-// which the shard-equivalence suite and the CI matrix both diff.
+// any Shards value and GOMAXPROCS, which the shard-equivalence suite and
+// the CI matrix both diff.
 func RunFleet(opt FleetOptions) FleetReport {
 	if opt.Scale <= 0 {
 		opt.Scale = 1
@@ -90,9 +90,8 @@ func RunFleet(opt FleetOptions) FleetReport {
 // PrintFleet renders the evacuation rows plus an aggregate line.
 func PrintFleet(w io.Writer, rep FleetReport) {
 	table := metrics.NewTable(
-		fmt.Sprintf("Fleet evacuation: %d cells (%d hosts), %d shard(s)",
-			len(rep.Rows), 2*len(rep.Rows), rep.Fleet.Cfg.Shards),
-		"cell", "shard", "start (s)", "total (s)", "downtime (s)", "data (MB)", "ops done", "outcome")
+		fmt.Sprintf("Fleet evacuation: %d cells (%d hosts)", len(rep.Rows), 2*len(rep.Rows)),
+		"cell", "start (s)", "total (s)", "downtime (s)", "data (MB)", "ops done", "outcome")
 	var totalBytes, totalOps int64
 	var maxDone, sumTotal, sumDown float64
 	for _, r := range rep.Rows {
@@ -100,7 +99,7 @@ func PrintFleet(w io.Writer, rep FleetReport) {
 		if r.Reason != "" {
 			outcome += " (" + r.Reason + ")"
 		}
-		table.AddF(r.Cell, r.Shard,
+		table.AddF(r.Cell,
 			fmt.Sprintf("%.2f", r.StartedAtSeconds),
 			fmt.Sprintf("%.2f", r.TotalSeconds),
 			fmt.Sprintf("%.3f", r.DowntimeSeconds),
@@ -133,8 +132,6 @@ func WriteFleetCSV(w io.Writer, rows []cluster.FleetRow) error {
 		return err
 	}
 	for _, r := range rows {
-		// The shard column is placement, the one field that legitimately
-		// varies with -shards; the CSV carries only the invariant outcome.
 		rec := []string{
 			r.Cell,
 			fmt.Sprintf("%.3f", r.StartedAtSeconds),

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -214,4 +216,116 @@ func TestShardGroupDeterministicDrainOrder(t *testing.T) {
 			t.Fatalf("drain order unstable or wrong: %v / %v, want %v", a, b, want)
 		}
 	}
+}
+
+// claimRun is one run of the claim-loop workload: 12 engines added to a
+// group of the given width, each self-rearming on its own period, posting
+// to engine 0 on every firing, and receiving engine 0's reply. It returns
+// each added engine's event log and engine 0's arrival log, both keyed by
+// the added engine's number so runs at different widths compare.
+func claimRun(t *testing.T, workers int) (logs [][]Time, arrivals [][2]int64) {
+	t.Helper()
+	const added = 12
+	g := NewShardGroup(11, workers)
+	logs = make([][]Time, added)
+	for k := 0; k < added; k++ {
+		k := k
+		e := g.AddEngine(fmt.Sprintf("engine%02d", k))
+		eng := g.Engine(e)
+		up := g.Link(e, 0, 4, 0)
+		down := g.Link(0, e, 4, 0)
+		period := Duration(1 + k%3)
+		var fire func()
+		fire = func() {
+			now := eng.Now()
+			logs[k] = append(logs[k], now)
+			up.Send(0, func() {
+				arrivals = append(arrivals, [2]int64{int64(g.Engine(0).Now()), int64(k)})
+				down.Send(0, func() { logs[k] = append(logs[k], -eng.Now()) })
+			})
+			if now < 200 {
+				eng.After(period, fire)
+			}
+		}
+		eng.Schedule(Time(1+k%5), fire)
+	}
+	g.Run(300)
+	for i := 0; i < g.Engines(); i++ {
+		if now := g.Engine(i).Now(); now != 300 {
+			t.Fatalf("workers=%d: engine %d at tick %d after Run(300)", workers, i, now)
+		}
+	}
+	return logs, arrivals
+}
+
+// TestShardGroupClaimLoopIsWidthInvariant runs the same added engines at
+// 1, 2 and 4 workers: every engine's event log and the order in which
+// engine 0 receives their messages — (engine index, send order) within a
+// tick — must not depend on how many workers claimed the engines.
+func TestShardGroupClaimLoopIsWidthInvariant(t *testing.T) {
+	refLogs, refArrivals := claimRun(t, 1)
+	for i := 1; i < len(refArrivals); i++ {
+		a, b := refArrivals[i-1], refArrivals[i]
+		if a[0] == b[0] && a[1] > b[1] {
+			t.Fatalf("same-tick arrivals out of engine order at tick %d: %d before %d", a[0], a[1], b[1])
+		}
+	}
+	for _, w := range []int{2, 4} {
+		logs, arrivals := claimRun(t, w)
+		if !reflect.DeepEqual(logs, refLogs) {
+			t.Errorf("workers=%d: engine event logs differ from the serial run", w)
+		}
+		if !reflect.DeepEqual(arrivals, refArrivals) {
+			t.Errorf("workers=%d: drain order differs from the serial run", w)
+		}
+	}
+}
+
+// TestShardLookaheadViolationPanicsFromAddedEngine: the drain's bound check
+// covers added engines' outboxes too.
+func TestShardLookaheadViolationPanicsFromAddedEngine(t *testing.T) {
+	g := NewShardGroup(1, 2)
+	e := g.AddEngine("added")
+	g.Link(e, 0, 4, 0) // lookahead = 5 ticks
+	g.Engine(e).Schedule(2, func() { g.Post(e, 0, 3, func() {}) })
+
+	defer func() {
+		msg, ok := recover().(string)
+		if !ok || !strings.Contains(msg, "conservative lookahead violated") {
+			t.Fatalf("expected a lookahead-violation panic, got %v", msg)
+		}
+	}()
+	g.Run(20)
+}
+
+// TestShardWindowQuietExtensionNeedsEveryEngine: a window extends past the
+// lookahead bound only when every engine, added ones included, proves
+// itself idle.
+func TestShardWindowQuietExtensionNeedsEveryEngine(t *testing.T) {
+	g := NewShardGroup(1, 2)
+	g.Link(0, 1, 1, 0) // lookahead = 2 ticks
+	last := 0
+	for k := 0; k < 12; k++ {
+		last = g.AddEngine(fmt.Sprintf("engine%02d", k))
+	}
+	g.Engine(last).Schedule(100000, func() {})
+	if got := g.windowEnd(300000); got != 100000 {
+		t.Fatalf("idle group: window ends at %d, want the next event at 100000", got)
+	}
+	busy := g.AddEngine("busy")
+	g.Engine(busy).AddTickerFunc(PhaseControl, func(Time) {})
+	if got := g.windowEnd(300000); got != 2 {
+		t.Fatalf("one busy engine: window ends at %d, want the lookahead bound 2", got)
+	}
+}
+
+func TestShardGroupAddEngineAfterRunPanics(t *testing.T) {
+	g := NewShardGroup(1, 1)
+	g.Run(10)
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("AddEngine after a run must panic")
+		}
+	}()
+	g.AddEngine("late")
 }
