@@ -29,12 +29,13 @@
 //	fleet      staggered 64-host evacuation on the sharded parallel kernel
 //	all        everything above
 //
-// The -shards flag selects the parallel kernel width (cluster.Config.Shards
-// / cluster.Fleet): every experiment produces byte-identical output at any
-// -shards value and GOMAXPROCS — CI diffs exactly that matrix. The paper
-// testbed is one network-arbitration domain, so its experiments keep all
-// hosts on engine 0; the fleet experiment gives each cell (set -cells to
-// resize it) its own engine, and -shards workers run those engines.
+// The -shards flag sets the parallel kernel width of the fleet experiment
+// and of the drain experiment's rack phase (cluster.FleetConfig.Shards):
+// each cell (set -cells to resize them) runs on its own engine, and -shards
+// workers run those engines. Output is byte-identical at any -shards value
+// and GOMAXPROCS — CI diffs exactly that matrix. The paper testbed is one
+// network-arbitration domain, so every other experiment runs on one
+// engine.
 //
 // The -faults flag injects a deterministic fault schedule into the
 // quickstart runs (e.g. -faults crash:inter1@130+10,loss:source@125+5=0.2)
@@ -120,7 +121,7 @@ func main() {
 	traceBuf := flag.Int("trace-buf", trace.DefaultBusCapacity, "trace ring-buffer capacity (events)")
 	faults := flag.String("faults", "", "fault schedule for quickstart runs (crash:<srv>@<t>[+<d>],linkdown:<nic>@<t>[+<d>],loss:<nic>@<t>[+<d>][=<rate>])")
 	replicas := flag.Int("replicas", 0, "VMD replication factor for quickstart runs; for recovery, run only this K (0/1 = off)")
-	shards := flag.Int("shards", 1, "parallel-kernel shard count (1 = serial engine); results are byte-identical at any value")
+	shards := flag.Int("shards", 1, "parallel-kernel width for fleet and drain (1 = serial); results are byte-identical at any value")
 	cells := flag.Int("cells", 0, "fleet experiment: migration cells (2 hosts each; 0 = default 32)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: agilesim [-scale f] [-seed n] [-csv file] [-parallel n] [-shards n] [-faults plan] [-replicas k] [-trace-out file] [-trace-jsonl file] [-metrics-out file] [-metrics-addr host:port] [-metrics-hold s] [-cpuprofile file] [-memprofile file] <experiment>\n")
@@ -198,7 +199,6 @@ func main() {
 		cfg.Scale = *scale
 		cfg.Seed = *seed
 		cfg.Parallelism = *parallel
-		cfg.Shards = *shards
 		rows := experiments.RunSizeSweep(cfg)
 		experiments.PrintSizeSweep(out, rows)
 	}
@@ -285,7 +285,6 @@ func main() {
 		cfg.Trace = tr
 		cfg.Metrics = reg
 		cfg.Replicas = *replicas
-		cfg.Shards = *shards
 		if *faults != "" {
 			plan, err := sim.ParseFaultPlan(*faults)
 			if err != nil {
@@ -425,7 +424,6 @@ func main() {
 		opt.Scale = *scale
 		opt.Seed = *seed
 		opt.Shards = *shards
-		opt.RackShards = *shards
 		if *cells > 0 {
 			opt.RackCells = *cells
 		}
@@ -499,13 +497,11 @@ func main() {
 		if *replicas > 1 {
 			rcfg.ReplicaFactors = []int{*replicas}
 		}
-		rcfg.Shards = *shards
 		experiments.PrintRecovery(out, experiments.RunRecovery(rcfg))
 	case "vmdsweep":
 		vcfg := experiments.DefaultVMDSweepConfig()
 		vcfg.Scale = *scale
 		vcfg.Seed = *seed
-		vcfg.Shards = *shards
 		experiments.PrintVMDSweep(out, experiments.RunVMDSweep(vcfg))
 	case "fleet":
 		runFleet()

@@ -54,17 +54,6 @@ type Config struct {
 	// for the fast-forward equivalence tests and timing comparisons.
 	DisableFastForward bool
 
-	// Shards selects the parallel kernel: the testbed runs inside a
-	// sim.ShardGroup of this many engines and workers (0 or 1 keeps the
-	// plain serial engine). The paper's testbed is one network-arbitration
-	// domain — simnet's max-min fairness couples every NIC — so all of its
-	// hosts stay on engine 0 regardless of the shard count and the other
-	// engines idle; results are byte-identical at any Shards and
-	// GOMAXPROCS, which the golden equivalence tests assert. Genuinely
-	// partitioned workloads (cluster.Fleet) give each cell its own engine
-	// instead.
-	Shards int
-
 	// Replicas is the VMD replication factor K: every swapped page is
 	// stored on K distinct intermediate servers, so a server crash loses
 	// nothing while K-1 others survive. 0 or 1 disables replication (the
@@ -132,10 +121,6 @@ type Testbed struct {
 	ClientNIC *simnet.NIC
 	VMD       *vmd.VMD
 
-	// group is non-nil when Cfg.Shards > 1: Eng is then its shard-0 engine
-	// and runs are driven through the group's window scheduler.
-	group *sim.ShardGroup
-
 	// extra holds hosts added beyond the paper's source/dest pair (drain
 	// scenarios with several candidate destinations), in creation order.
 	extra []*host.Host
@@ -145,25 +130,11 @@ type Testbed struct {
 
 // New builds a testbed.
 func New(cfg Config) *Testbed {
-	var eng *sim.Engine
-	var group *sim.ShardGroup
-	if cfg.Shards > 1 {
-		group = sim.NewShardGroup(cfg.Seed, cfg.Shards)
-		eng = group.Engine(0)
-		if cfg.DisableFastForward {
-			for i := 0; i < group.Shards(); i++ {
-				group.Engine(i).SetFastForward(false)
-			}
-		}
-	} else {
-		eng = sim.NewEngine(cfg.Seed)
-		if cfg.DisableFastForward {
-			eng.SetFastForward(false)
-		}
+	eng := sim.NewEngine(cfg.Seed)
+	if cfg.DisableFastForward {
+		eng.SetFastForward(false)
 	}
-	tb := build(eng, cfg, "", cfg.Seed^0x9e3779b97f4a7c15)
-	tb.group = group
-	return tb
+	return build(eng, cfg, "", cfg.Seed^0x9e3779b97f4a7c15)
 }
 
 // build assembles the testbed on an existing engine. Every actor it
@@ -335,17 +306,7 @@ func (tb *Testbed) HostByName(name string) *host.Host {
 }
 
 // RunSeconds advances simulated time.
-func (tb *Testbed) RunSeconds(s float64) {
-	if tb.group != nil {
-		tb.group.RunSeconds(s)
-		return
-	}
-	tb.Eng.RunSeconds(s)
-}
-
-// ShardGroup returns the parallel kernel driving the testbed, or nil when
-// it runs on the plain serial engine (Cfg.Shards <= 1).
-func (tb *Testbed) ShardGroup() *sim.ShardGroup { return tb.group }
+func (tb *Testbed) RunSeconds(s float64) { tb.Eng.RunSeconds(s) }
 
 // VMHandle bundles a deployed VM with its swap namespace, dataset, client
 // and migration state.
@@ -467,14 +428,9 @@ func (tb *Testbed) MigrateTuned(h *VMHandle, tech core.Technique, destReservatio
 	return tb.MigrateToTuned(h, tech, tb.Dest, destReservationBytes, tun)
 }
 
-// MigrateTo is Migrate with an explicit destination host (any host in the
-// testbed other than the VM's current one).
-func (tb *Testbed) MigrateTo(h *VMHandle, tech core.Technique, dest *host.Host, destReservationBytes int64) (*core.Migration, error) {
-	return tb.MigrateToTuned(h, tech, dest, destReservationBytes, core.Tuning{})
-}
-
 // MigrateToTuned is the general form every Migrate variant delegates to:
-// explicit destination host and engine tuning.
+// an explicit destination host (any host in the testbed other than the
+// VM's current one) and engine tuning.
 func (tb *Testbed) MigrateToTuned(h *VMHandle, tech core.Technique, dest *host.Host, destReservationBytes int64, tun core.Tuning) (*core.Migration, error) {
 	if h.Migration != nil && !h.Migration.Done() {
 		return nil, fmt.Errorf("cluster: VM %s: %w", h.VM.Name(), ErrMigrationActive)
@@ -569,15 +525,8 @@ func (tb *Testbed) RunUntilMigrated(h *VMHandle, timeoutSeconds float64) Outcome
 		panic("cluster: no migration in progress for " + h.VM.Name())
 	}
 	deadline := tb.Eng.Now() + sim.Time(tb.Eng.SecondsToTicks(timeoutSeconds))
-	if tb.group != nil {
-		// The testbed's group carries no inter-shard links (everything lives
-		// on shard 0), so the early-exit predicate is sound and shard 0's
-		// advance loop below is replayed instruction for instruction.
-		tb.group.RunWhile(deadline, func() bool { return !h.Migration.Done() })
-	} else {
-		for tb.Eng.Now() < deadline && !h.Migration.Done() {
-			tb.Eng.Advance(deadline)
-		}
+	for tb.Eng.Now() < deadline && !h.Migration.Done() {
+		tb.Eng.Advance(deadline)
 	}
 	switch {
 	case h.Migration.Aborted():

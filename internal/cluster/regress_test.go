@@ -50,7 +50,7 @@ func TestDoubleMigrateRejected(t *testing.T) {
 	if h.Client.OpsCompleted() == before {
 		t.Fatal("workload stalled after the rejected double migrate")
 	}
-	if _, err := tb.MigrateTo(h, core.Agile, tb.Source, 512*MiB); err != nil {
+	if _, err := tb.MigrateToTuned(h, core.Agile, tb.Source, 512*MiB, core.Tuning{}); err != nil {
 		t.Fatalf("follow-on migration after completion rejected: %v", err)
 	}
 	if got := tb.RunUntilMigrated(h, 600); got != OutcomeCompleted {
@@ -94,10 +94,10 @@ func TestMigrateRejectsBadDestination(t *testing.T) {
 	tb := New(smallConfig())
 	h := tb.DeployVM("vm1", 1*GiB, 512*MiB, true)
 	tb.RunSeconds(1)
-	if _, err := tb.MigrateTo(h, core.Agile, nil, 512*MiB); err == nil {
+	if _, err := tb.MigrateToTuned(h, core.Agile, nil, 512*MiB, core.Tuning{}); err == nil {
 		t.Fatal("nil destination accepted")
 	}
-	if _, err := tb.MigrateTo(h, core.Agile, tb.Source, 512*MiB); err == nil {
+	if _, err := tb.MigrateToTuned(h, core.Agile, tb.Source, 512*MiB, core.Tuning{}); err == nil {
 		t.Fatal("migration onto the VM's own host accepted")
 	}
 }
@@ -154,12 +154,10 @@ func TestRunUntilMigratedReportsTimeout(t *testing.T) {
 // migrations through the control plane (sharing the source NIC and the
 // VMD), aborts one mid-flight with push and demand traffic in the air, and
 // checks the rollback loses nothing: the aborted VM keeps serving from the
-// source while the surviving migrations complete. Run under -race this
-// also exercises the shard-group workers.
+// source while the surviving migrations complete.
 func TestAbortUnderConcurrentControllerLoad(t *testing.T) {
 	cfg := smallConfig()
 	cfg.HostRAMBytes = 8 * GiB
-	cfg.Shards = 2
 	tb := New(cfg)
 	var handles []*VMHandle
 	for _, name := range []string{"vm1", "vm2", "vm3", "vm4"} {

@@ -23,8 +23,6 @@ import (
 type DrainOptions struct {
 	Scale float64
 	Seed  uint64
-	// Shards selects the parallel kernel for the testbed phase.
-	Shards int
 	// MaxConcurrent bounds simultaneously running migrations (default 4 —
 	// the drain genuinely shares NICs and VMD bandwidth).
 	MaxConcurrent int
@@ -37,8 +35,10 @@ type DrainOptions struct {
 	// RackCells sizes the rack-evacuation phase (0 skips it; the agilesim
 	// default is the full 32-cell rack).
 	RackCells int
-	// RackShards is the parallel kernel width for the rack phase.
-	RackShards int
+	// Shards is the parallel kernel width for the rack phase, whose cells
+	// each run on their own engine. The policy phase is one testbed on
+	// one engine.
+	Shards int
 
 	// Observe attaches trace/metrics sinks to the drain testbeds.
 	Observe       bool
@@ -54,16 +54,16 @@ func DefaultDrainOptions() DrainOptions {
 		SLOp99Seconds: 0.5,
 		MaxSeconds:    4000,
 		RackCells:     32,
-		RackShards:    1,
+		Shards:        1,
 	}
 }
 
 // DrainMigRow is one control-plane migration's outcome.
 type DrainMigRow struct {
-	VM      string
-	Dest    string
-	Phase   string
-	Reason  string
+	VM                string
+	Dest              string
+	Phase             string
+	Reason            string
 	StartedAtSeconds  float64
 	FinishedAtSeconds float64
 	DowntimeSeconds   float64
@@ -148,7 +148,6 @@ func runDrainPolicy(opt DrainOptions, pol ctlplane.PlacementPolicy) DrainPolicyR
 
 	tcfg := cluster.DefaultConfig()
 	tcfg.Seed = opt.Seed
-	tcfg.Shards = opt.Shards
 	// The loaded source holds all six VMs; the default "dest" host is the
 	// big destination the greedy policy piles onto. The drained machine is
 	// a fat host with a 10 Gbps uplink (as is the client/VMD side), while
@@ -265,8 +264,8 @@ func runDrainPolicy(opt DrainOptions, pol ctlplane.PlacementPolicy) DrainPolicyR
 func runDrainRack(opt DrainOptions) FleetReport {
 	cfg := cluster.DefaultFleetConfig()
 	cfg.Cells = opt.RackCells
-	if opt.RackShards > 0 {
-		cfg.Shards = opt.RackShards
+	if opt.Shards > 0 {
+		cfg.Shards = opt.Shards
 	}
 	cfg.Seed = opt.Seed
 	cfg.HostRAMBytes = scaleBytes(cfg.HostRAMBytes, opt.Scale)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"agilemig/internal/ctlplane"
@@ -10,18 +8,16 @@ import (
 
 // drainTestOptions is the drain experiment shrunk for tests: tiny VMs, a
 // small rack, no observability sinks.
-func drainTestOptions(shards int) DrainOptions {
+func drainTestOptions() DrainOptions {
 	opt := DefaultDrainOptions()
 	opt.Scale = 0.05
 	opt.Seed = 7
-	opt.Shards = shards
 	opt.RackCells = 4
-	opt.RackShards = shards
 	return opt
 }
 
 func TestDrainEvacuatesUnderSLO(t *testing.T) {
-	rep := RunDrain(drainTestOptions(1))
+	rep := RunDrain(drainTestOptions())
 	if len(rep.Policies) != 2 {
 		t.Fatalf("want both policies, got %d", len(rep.Policies))
 	}
@@ -77,7 +73,7 @@ func TestDrainEvacuatesUnderSLO(t *testing.T) {
 }
 
 func TestDrainPhasesAreTerminal(t *testing.T) {
-	rep := RunDrain(drainTestOptions(1))
+	rep := RunDrain(drainTestOptions())
 	for _, p := range rep.Policies {
 		for _, r := range p.Rows {
 			ph := r.Phase
@@ -87,36 +83,5 @@ func TestDrainPhasesAreTerminal(t *testing.T) {
 				t.Fatalf("policy %s row %s left non-terminal: %s", p.Policy, r.VM, ph)
 			}
 		}
-	}
-}
-
-// TestDrainShardEquivalence: the drain experiment's full CSV is
-// byte-identical across the Shards × GOMAXPROCS matrix.
-func TestDrainShardEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("matrix run in full mode only")
-	}
-	var ref []byte
-	for _, m := range shardMatrix {
-		m := m
-		withProcs(m.procs, func() {
-			opt := drainTestOptions(m.shards)
-			opt.RackCells = 0 // fleet shard equivalence is covered separately
-			rep := RunDrain(opt)
-			var buf bytes.Buffer
-			if err := WriteDrainCSV(&buf, rep); err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = buf.Bytes()
-				return
-			}
-			if !bytes.Equal(ref, buf.Bytes()) {
-				t.Errorf("drain CSV diverges at shards=%d procs=%d", m.shards, m.procs)
-			}
-		})
-	}
-	if ref == nil || !strings.Contains(string(ref), "destination-swap") {
-		t.Fatal("reference CSV missing policy rows")
 	}
 }

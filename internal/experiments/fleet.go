@@ -50,8 +50,8 @@ type FleetReport struct {
 }
 
 // RunFleet builds and runs the evacuation. Results are byte-identical at
-// any Shards value and GOMAXPROCS, which the shard-equivalence suite and
-// the CI matrix both diff.
+// any Shards value and GOMAXPROCS, which TestFleetShardEquivalence and the
+// CI matrix both diff.
 func RunFleet(opt FleetOptions) FleetReport {
 	if opt.Scale <= 0 {
 		opt.Scale = 1

@@ -31,11 +31,6 @@ type QuickstartConfig struct {
 
 	DisableFastForward bool
 
-	// Shards selects the parallel kernel width for each technique's testbed
-	// (0/1 = serial engine). Results are byte-identical at any value — the
-	// golden shard-equivalence tests diff exactly this knob.
-	Shards int
-
 	// Faults, when non-empty, is injected into every technique's testbed
 	// (each gets its own clock, so the schedule replays per run); Replicas
 	// sets the VMD replication factor. Both default to off, keeping the
@@ -84,7 +79,6 @@ func RunQuickstart(cfg QuickstartConfig) []QuickstartResult {
 		ccfg.HostRAMBytes = scaleBytes(6*cluster.GiB, cfg.Scale)
 		ccfg.IntermediateRAMBytes = scaleBytes(16*cluster.GiB, cfg.Scale)
 		ccfg.DisableFastForward = cfg.DisableFastForward
-		ccfg.Shards = cfg.Shards
 		ccfg.Faults = cfg.Faults
 		ccfg.Replicas = cfg.Replicas
 		ccfg.VMD = cfg.VMD

@@ -40,9 +40,6 @@ type RecoveryConfig struct {
 	// paging exercises the timeout/retry path on top of the crash.
 	LossRate    float64
 	LossSeconds float64
-	// Shards selects the parallel kernel width (0/1 = serial engine);
-	// results are byte-identical at any value.
-	Shards int
 	// VMD selects the far-memory store's v2 mechanisms; the zero value is
 	// the flat v1 store (byte-identical).
 	VMD vmd.StoreConfig
@@ -130,7 +127,6 @@ func RunRecovery(cfg RecoveryConfig) []RecoveryResult {
 		ccfg.Intermediates = cfg.Intermediates
 		ccfg.IntermediateRAMBytes = scaleBytes(int64(k)*cfg.IntermediateMiBPerReplica*cluster.MiB, cfg.Scale)
 		ccfg.Replicas = k
-		ccfg.Shards = cfg.Shards
 		ccfg.VMD = cfg.VMD
 		ccfg.Faults = (&sim.FaultPlan{}).CrashRestart(victim, crashAt, downFor)
 		tb := cluster.New(ccfg)

@@ -29,9 +29,6 @@ type SizeSweepConfig struct {
 	Parallelism int
 	// DisableFastForward steps tick by tick (see cluster.Config).
 	DisableFastForward bool
-	// Shards selects the parallel kernel width per point (0/1 = serial
-	// engine); results are byte-identical at any value.
-	Shards int
 	// VMD selects the far-memory store's v2 mechanisms; the zero value is
 	// the flat v1 store (byte-identical).
 	VMD vmd.StoreConfig
@@ -114,7 +111,6 @@ func runSweepPoint(cfg SizeSweepConfig, tech core.Technique, vmBytes int64, busy
 	tcfg.SwapPartitionBytes = scaleBytes(30*cluster.GiB, s)
 	tcfg.IntermediateRAMBytes = scaleBytes(32*cluster.GiB, s)
 	tcfg.DisableFastForward = cfg.DisableFastForward
-	tcfg.Shards = cfg.Shards
 	tcfg.VMD = cfg.VMD
 	tb := cluster.New(tcfg)
 

@@ -25,7 +25,9 @@ func v1EquivalentStore() vmd.StoreConfig {
 	return vmd.StoreConfig{BatchPages: 1, Placement: vmd.PlaceRoundRobin}
 }
 
-// quickstartV2Outputs is quickstartOutputs with an explicit store config.
+// quickstartV2Outputs runs the traced quickstart on the given store config
+// and renders every output stream to bytes: per-technique results, the
+// trace JSONL and the metrics JSONL of the observed run.
 func quickstartV2Outputs(t *testing.T, store vmd.StoreConfig) ([]core.Result, []byte, []byte) {
 	t.Helper()
 	tr := trace.New(1 << 14)

@@ -27,8 +27,6 @@ type VMDSweepConfig struct {
 	// Intermediates is the VMD server count (default 4, so placement and
 	// rebalance have somewhere to spread).
 	Intermediates int
-	// Shards selects the parallel kernel width (0/1 = serial engine).
-	Shards int
 }
 
 // DefaultVMDSweepConfig returns the scenario behind `agilesim vmdsweep`.
@@ -111,7 +109,6 @@ func runVMDSweepVariant(cfg VMDSweepConfig, v vmdSweepVariant) VMDSweepRow {
 	ccfg.HostRAMBytes = scaleBytes(6*cluster.GiB, cfg.Scale)
 	ccfg.Intermediates = cfg.Intermediates
 	ccfg.IntermediateRAMBytes = scaleBytes(4*cluster.GiB, cfg.Scale)
-	ccfg.Shards = cfg.Shards
 	ccfg.VMD = v.store
 	tb := cluster.New(ccfg)
 

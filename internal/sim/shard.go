@@ -291,39 +291,15 @@ func (g *ShardGroup) drain(wend Time) {
 // mailbox drain) between them. Engines run concurrently within a window;
 // results are nevertheless bit-identical at any GOMAXPROCS and worker
 // count because engines share no state between barriers.
-func (g *ShardGroup) Run(until Time) { g.run(until, nil) }
-
-// RunSeconds advances the group by the given simulated seconds.
-func (g *ShardGroup) RunSeconds(s float64) {
-	e := g.members[0].eng
-	g.Run(e.Now() + Time(e.SecondsToTicks(s)))
-}
-
-// RunWhile runs like Run but re-evaluates cont between engine 0's advance
-// steps, returning as soon as it reports false — the sharded equivalent of
-// the serial "advance until the migration completes" loop, byte-identical
-// to it. cont runs on the calling goroutine, which always runs engine 0
-// itself, while other engines may still be mid-window, so it must read
-// only engine-0-owned state; and because an early exit leaves engine 0
-// behind its peers, RunWhile refuses to run on a group with links
-// (cross-engine mailboxes require aligned barriers — use Run plus Stop
-// there).
-func (g *ShardGroup) RunWhile(until Time, cont func() bool) {
-	if cont != nil && g.Lookahead() > 0 {
-		panic("sim: RunWhile early-exit predicate is unsound on a group with links; use Run + Stop")
-	}
-	g.run(until, cont)
-}
-
-func (g *ShardGroup) run(until Time, cont func() bool) {
+func (g *ShardGroup) Run(until Time) {
 	g.started = true
 	g.stopped.Store(false)
 	e0 := g.members[0].eng
 
 	// Workers 1..width-1 live for this run only; each window they receive
 	// the common target, claim engines until none is left, and signal the
-	// barrier. The calling goroutine is worker 0: it runs engine 0, so
-	// cont can read its state without synchronization, then claims too.
+	// barrier. The calling goroutine is worker 0: it runs engine 0, then
+	// claims too.
 	var wg sync.WaitGroup
 	wake := make([]chan Time, g.width-1)
 	for i := range wake {
@@ -343,22 +319,25 @@ func (g *ShardGroup) run(until Time, cont func() bool) {
 	}()
 
 	for e0.Now() < until && !g.stopped.Load() {
-		if cont != nil && !cont() {
-			return
-		}
 		wend := g.windowEnd(until)
 		g.next.Store(1)
 		wg.Add(len(wake))
 		for _, ch := range wake {
 			ch <- wend
 		}
-		for e0.Now() < wend && (cont == nil || cont()) {
+		for e0.Now() < wend {
 			e0.Advance(wend)
 		}
 		g.claim(wend)
 		wg.Wait()
 		g.drain(wend)
 	}
+}
+
+// RunSeconds advances the group by the given simulated seconds.
+func (g *ShardGroup) RunSeconds(s float64) {
+	e := g.members[0].eng
+	g.Run(e.Now() + Time(e.SecondsToTicks(s)))
 }
 
 // claim runs engines taken from the window's claim counter to wend until

@@ -169,27 +169,6 @@ func TestShardGroupStopAlignsAtBarrier(t *testing.T) {
 	}
 }
 
-func TestShardRunWhileRejectsLinkedGroups(t *testing.T) {
-	g := NewShardGroup(1, 2)
-	g.Link(0, 1, 1, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("RunWhile with a predicate must panic on a linked group")
-		}
-	}()
-	g.RunWhile(100, func() bool { return true })
-}
-
-func TestShardRunWhileEarlyExit(t *testing.T) {
-	g := NewShardGroup(1, 1)
-	done := false
-	g.Engine(0).Schedule(40, func() { done = true })
-	g.RunWhile(1000, func() bool { return !done })
-	if now := g.Engine(0).Now(); now != 40 {
-		t.Fatalf("RunWhile should exit at tick 40, stopped at %v", now)
-	}
-}
-
 // TestShardGroupDeterministicDrainOrder checks same-tick cross-shard
 // messages are scheduled in (source shard, send order) — the documented
 // canonical order — independent of execution interleaving.
