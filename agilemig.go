@@ -60,8 +60,10 @@ const (
 // MigrationResult reports a completed migration in the paper's units.
 type MigrationResult = core.Result
 
-// MigrationTuning exposes the engine knobs (window, swap-in clustering,
-// pre-copy round limits) and the ablation switches.
+// MigrationTuning exposes the engine's per-migration options: page
+// batching, auto-converge, the ablation switches, scatter-gather prefetch,
+// demand-paging retries and the bandwidth cap. The window, framing,
+// swap-in clustering and pre-copy limits are fixed engine constants.
 type MigrationTuning = core.Tuning
 
 // Testbed is an assembled cluster: source and destination hosts, VMD

@@ -306,7 +306,7 @@ func main() {
 				fmt.Sprintf("%.3f", r.DowntimeSeconds),
 				fmt.Sprintf("%.0f", float64(r.BytesTransferred)/1e6),
 				r.OffsetRecords)
-			if r.Technique == cfg.ObserveTechnique {
+			if r.Technique == core.Agile {
 				observed = &results[i]
 			}
 		}

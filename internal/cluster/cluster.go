@@ -44,7 +44,6 @@ type Config struct {
 	// DestNetBytesPerSec overrides the destination host's NIC rate when
 	// non-zero (constrained-destination scenarios).
 	DestNetBytesPerSec   int64
-	NetLatency           sim.Duration
 	SSD                  blockdev.Config
 	SwapPartitionBytes   int64
 	Intermediates        int
@@ -64,12 +63,6 @@ type Config struct {
 	// message-loss windows. A nil or empty plan arms nothing — the run is
 	// byte-identical to one built without fault support at all.
 	Faults *sim.FaultPlan
-	// StrictVMD restores the historical panic on pool exhaustion instead
-	// of spilling to the writing host's local disk.
-	StrictVMD bool
-	// VMDFaultTimeoutSeconds overrides the VMD request timeout armed when
-	// Faults is non-empty (0 selects vmd.DefaultFaultTimeout).
-	VMDFaultTimeoutSeconds float64
 	// VMD selects the store's v2 mechanisms (batched transfers, readahead
 	// prefetch, tiering, consistent-hash placement). The zero value is the
 	// flat v1 store, byte-identical to builds without the field.
@@ -80,13 +73,19 @@ type Config struct {
 	// WSS convergence, and migration phases. Nil (the default) keeps every
 	// emitter on its zero-overhead path.
 	Trace *trace.Trace
-	// Metrics, when non-nil, collects host/VM/device gauges and counters;
-	// pair with MetricsSampleSeconds to record time series.
+	// Metrics, when non-nil, collects host/VM/device gauges and counters,
+	// sampled into time series every metricsSampleSeconds of sim time.
 	Metrics *metrics.Registry
-	// MetricsSampleSeconds is the sim-time sampling interval for Metrics
-	// (default 1 s when Metrics is set).
-	MetricsSampleSeconds float64
 }
+
+const (
+	// netLatency is the one-way latency of every testbed link: the §V
+	// hosts share one switch, so flows see only bandwidth, never distance.
+	netLatency sim.Duration = 0
+	// metricsSampleSeconds is the sim-time sampling interval for
+	// Config.Metrics.
+	metricsSampleSeconds = 1
+)
 
 // DefaultConfig returns the §V testbed: 23 GB hosts (boot-limited), 200 MB
 // host OS, 1 Gbps Ethernet, a 30 GB swap partition on a SATA-era SSD, and
@@ -184,16 +183,13 @@ func build(eng *sim.Engine, cfg Config, prefix string, lossSeed uint64) *Testbed
 	if cfg.Replicas > 1 {
 		tb.VMD.SetReplicas(cfg.Replicas)
 	}
-	if cfg.StrictVMD {
-		tb.VMD.SetStrict(true)
-	}
 	for i := 0; i < cfg.Intermediates; i++ {
 		name := fmt.Sprintf("%sinter%d", prefix, i+1)
 		nic := net.NewNIC(name, cfg.NetBytesPerSec)
 		tb.VMD.AddServer(name, nic, int64(mem.BytesToPages(cfg.IntermediateRAMBytes)))
 	}
-	tb.Source.SetVMDClient(tb.VMD.NewClient(tb.Source.Name(), tb.Source.NIC(), cfg.NetLatency))
-	tb.Dest.SetVMDClient(tb.VMD.NewClient(tb.Dest.Name(), tb.Dest.NIC(), cfg.NetLatency))
+	tb.Source.SetVMDClient(tb.VMD.NewClient(tb.Source.Name(), tb.Source.NIC(), netLatency))
+	tb.Dest.SetVMDClient(tb.VMD.NewClient(tb.Dest.Name(), tb.Dest.NIC(), netLatency))
 	if cfg.VMD.Tiers.Enabled {
 		// The compressed-RAM tier absorbs the migrated-to host's cold pages;
 		// bulk migration writes bypass it (their point is to leave the host).
@@ -204,16 +200,12 @@ func build(eng *sim.Engine, cfg Config, prefix string, lossSeed uint64) *Testbed
 	tb.Source.VMDClient().AttachSpill(tb.Source.SwapDevice())
 	tb.Dest.VMDClient().AttachSpill(tb.Dest.SwapDevice())
 	if !cfg.Faults.Empty() {
-		tb.VMD.EnableFaultTolerance(cfg.VMDFaultTimeoutSeconds)
+		tb.VMD.EnableFaultTolerance(vmd.DefaultFaultTimeout)
 		tb.applyFaultPlan(cfg.Faults, prefix, lossSeed)
 	}
 	if cfg.Metrics != nil {
 		net.RegisterMetrics(cfg.Metrics)
-		interval := cfg.MetricsSampleSeconds
-		if interval <= 0 {
-			interval = 1
-		}
-		cfg.Metrics.StartSampling(eng, interval)
+		cfg.Metrics.StartSampling(eng, metricsSampleSeconds)
 	}
 	return tb
 }
@@ -277,7 +269,7 @@ func (tb *Testbed) AddHost(name string, ramBytes, netBytesPerSec int64) *host.Ho
 	if tb.Cfg.Trace != nil || tb.Cfg.Metrics != nil {
 		h.SetObserver(tb.Cfg.Trace, tb.Cfg.Metrics)
 	}
-	h.SetVMDClient(tb.VMD.NewClient(name, h.NIC(), tb.Cfg.NetLatency))
+	h.SetVMDClient(tb.VMD.NewClient(name, h.NIC(), netLatency))
 	if tb.Cfg.VMD.Tiers.Enabled {
 		h.VMDClient().SetLocalTier(true)
 	}
@@ -393,8 +385,8 @@ func (h *VMHandle) AttachClient(cfg workload.ClientConfig, d dist.Dist) *workloa
 // attachClient is AttachClient drawing from the given stream.
 func (h *VMHandle) attachClient(cfg workload.ClientConfig, d dist.Dist, rng *sim.RNG) *workload.Client {
 	tb := h.tb
-	h.srcFlows[0] = tb.Net.NewFlow("app:req:"+h.VM.Name(), tb.ClientNIC, tb.Source.NIC(), tb.Cfg.NetLatency)
-	h.srcFlows[1] = tb.Net.NewFlow("app:resp:"+h.VM.Name(), tb.Source.NIC(), tb.ClientNIC, tb.Cfg.NetLatency)
+	h.srcFlows[0] = tb.Net.NewFlow("app:req:"+h.VM.Name(), tb.ClientNIC, tb.Source.NIC(), netLatency)
+	h.srcFlows[1] = tb.Net.NewFlow("app:resp:"+h.VM.Name(), tb.Source.NIC(), tb.ClientNIC, netLatency)
 	h.Client = workload.NewClient(tb.Eng, cfg, h.Store, d, h.srcFlows[0], h.srcFlows[1], rng)
 	return h.Client
 }
@@ -461,7 +453,7 @@ func (tb *Testbed) MigrateToTuned(h *VMHandle, tech core.Technique, dest *host.H
 		DestReservationBytes: destReservationBytes,
 		DestBackend:          backend,
 		Namespace:            h.NS,
-		Latency:              tb.Cfg.NetLatency,
+		Latency:              netLatency,
 		Tuning:               tun,
 		Trace:                tb.Cfg.Trace,
 		Metrics:              tb.Cfg.Metrics,
@@ -471,8 +463,8 @@ func (tb *Testbed) MigrateToTuned(h *VMHandle, tech core.Technique, dest *host.H
 				h.retargets++
 				req := fmt.Sprintf("app:req%d:%s", h.retargets+1, h.VM.Name())
 				resp := fmt.Sprintf("app:resp%d:%s", h.retargets+1, h.VM.Name())
-				h.dstFlows[0] = tb.Net.NewFlow(req, tb.ClientNIC, dest.NIC(), tb.Cfg.NetLatency)
-				h.dstFlows[1] = tb.Net.NewFlow(resp, dest.NIC(), tb.ClientNIC, tb.Cfg.NetLatency)
+				h.dstFlows[0] = tb.Net.NewFlow(req, tb.ClientNIC, dest.NIC(), netLatency)
+				h.dstFlows[1] = tb.Net.NewFlow(resp, dest.NIC(), tb.ClientNIC, netLatency)
 				h.Client.SetFlows(h.dstFlows[0], h.dstFlows[1])
 			}
 		},

@@ -38,18 +38,9 @@ type FleetConfig struct {
 	ReservationBytes     int64
 	IntermediateRAMBytes int64
 	NetBytesPerSec       int64
-	NetLatency           sim.Duration
 	SwapPartitionBytes   int64
 	SSD                  blockdev.Config
 
-	// ControlLatencySeconds is the one-way latency of the evacuation
-	// controller's links to the cells. It is also what bounds the
-	// kernel's lookahead (1 + latency ticks), so it sets the
-	// compute-per-barrier ratio of a parallel run.
-	ControlLatencySeconds float64
-	// StaggerSeconds separates consecutive cells' migration start commands
-	// (clamped to at least one tick).
-	StaggerSeconds float64
 	// WarmupSeconds is how long workloads run before the first start
 	// command, letting reclaim push each dataset's cold tail to swap.
 	WarmupSeconds float64
@@ -85,12 +76,20 @@ type FleetConfig struct {
 	// TraceCapacity bounds each cell's ring when Observe is set (0 selects
 	// trace.DefaultCapacity).
 	TraceCapacity int
-	// MetricsSampleSeconds is the per-cell sampling interval when Observe
-	// is set (default 1 s).
-	MetricsSampleSeconds float64
 
 	DisableFastForward bool
 }
+
+const (
+	// controlLatencySeconds is the one-way latency of the evacuation
+	// controller's links to the cells. It is also what bounds the
+	// kernel's lookahead (1 + latency ticks), so it sets the
+	// compute-per-barrier ratio of a parallel run.
+	controlLatencySeconds = 0.020
+	// staggerSeconds separates consecutive cells' migration start
+	// commands.
+	staggerSeconds = 0.25
+)
 
 // DefaultFleetConfig returns a 32-cell (64-host) evacuation sized so a
 // full run is minutes of simulated time: 64 MiB VMs with 48 MiB datasets
@@ -114,12 +113,10 @@ func DefaultFleetConfig() FleetConfig {
 			BytesPerSecond: 90 * MiB,
 			IOPS:           10_000,
 		},
-		ControlLatencySeconds: 0.020,
-		StaggerSeconds:        0.25,
-		WarmupSeconds:         30,
-		SettleSeconds:         5,
-		MaxOpsPerSecond:       2000,
-		WriteFraction:         0.05,
+		WarmupSeconds:   30,
+		SettleSeconds:   5,
+		MaxOpsPerSecond: 2000,
+		WriteFraction:   0.05,
 	}
 }
 
@@ -189,14 +186,8 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	g := sim.NewShardGroup(cfg.Seed, cfg.Shards)
 	f := &Fleet{Cfg: cfg, Group: g}
 	eng0 := g.Engine(0)
-	ctrlLat := eng0.SecondsToTicks(cfg.ControlLatencySeconds)
-	if ctrlLat < 1 {
-		ctrlLat = 1
-	}
-	stagger := eng0.SecondsToTicks(cfg.StaggerSeconds)
-	if stagger < 1 {
-		stagger = 1
-	}
+	ctrlLat := eng0.SecondsToTicks(controlLatencySeconds)
+	stagger := eng0.SecondsToTicks(staggerSeconds)
 	warmup := eng0.SecondsToTicks(cfg.WarmupSeconds)
 
 	// The controller on engine 0 issues one staggered start command per
@@ -236,12 +227,10 @@ func (f *Fleet) buildCell(i int) (*fleetCell, int) {
 		HostRAMBytes:         cfg.HostRAMBytes,
 		OSOverheadBytes:      cfg.OSOverheadBytes,
 		NetBytesPerSec:       cfg.NetBytesPerSec,
-		NetLatency:           cfg.NetLatency,
 		SSD:                  cfg.SSD,
 		SwapPartitionBytes:   cfg.SwapPartitionBytes,
 		Intermediates:        1,
 		IntermediateRAMBytes: cfg.IntermediateRAMBytes,
-		MetricsSampleSeconds: cfg.MetricsSampleSeconds,
 	}
 	if cfg.Observe {
 		tcfg.Trace = trace.New(cfg.TraceCapacity)

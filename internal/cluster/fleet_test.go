@@ -22,7 +22,6 @@ func testFleetConfig(cells, shards int) FleetConfig {
 	cfg.DatasetBytes = 12 * MiB
 	cfg.ReservationBytes = 6 * MiB
 	cfg.WarmupSeconds = 5
-	cfg.StaggerSeconds = 0.1
 	cfg.SettleSeconds = 1
 	cfg.MaxOpsPerSecond = 1000
 	return cfg

@@ -66,38 +66,51 @@ func (t Technique) String() string {
 	return fmt.Sprintf("Technique(%d)", int(t))
 }
 
-// Tuning holds the migration engine's knobs. Zero values select defaults.
-type Tuning struct {
-	// WindowBytes bounds the unsent backlog queued on the migration stream
+// The migration engine's fixed parameters (§V's QEMU defaults on a
+// 1 Gbps testbed).
+const (
+	// windowBytes bounds the unsent backlog queued on the migration stream
 	// (socket-buffer depth); it keeps the scan synchronized with what the
 	// network actually drains.
-	WindowBytes int64
-	// MaxSwapInFlight bounds concurrent migration-driven swap-ins at the
+	windowBytes = 2 << 20
+	// maxSwapInFlight bounds concurrent migration-driven swap-ins at the
 	// source (QEMU's sequential page reads fault a handful at a time).
-	MaxSwapInFlight int
-	// PumpPagesPerTick bounds how many pages the scan visits per tick
+	maxSwapInFlight = 16
+	// pumpPagesPerTick bounds how many pages the scan visits per tick
 	// (memory-scan speed).
-	PumpPagesPerTick int
-	// PageHeaderBytes is the per-page framing on the wire.
-	PageHeaderBytes int64
-	// RecordBytes is the size of a swapped-offset or untouched record.
-	RecordBytes int64
-	// CPUStateBytes is the device+vCPU state shipped at switchover.
-	CPUStateBytes int64
-	// PreCopyMaxRounds caps the iterative phase.
-	PreCopyMaxRounds int
-	// PreCopyStopPages: suspend when the dirty set falls to this size.
-	PreCopyStopPages int
-	// DemandRequestBytes is the size of a destination fault request.
-	DemandRequestBytes int64
-	// SwapInCluster is how many consecutive swapped pages one
+	pumpPagesPerTick = 4096
+	// pageHeaderBytes is the per-page framing on the wire.
+	pageHeaderBytes = 16
+	// recordBytes is the size of a swapped-offset or untouched record.
+	recordBytes = 16
+	// cpuStateBytes is the device+vCPU state shipped at switchover.
+	cpuStateBytes = 8 << 20
+	// preCopyMaxRounds caps the iterative phase.
+	preCopyMaxRounds = 30
+	// preCopyStopPages: suspend when the dirty set falls to this size
+	// (~250 ms of line rate at 1 Gbps).
+	preCopyStopPages = 7680
+	// demandRequestBytes is the size of a destination fault request.
+	demandRequestBytes = 32
+	// swapInCluster is how many consecutive swapped pages one
 	// migration-driven swap-in brings back in a single device request
 	// (Linux swap readahead; the kernel default cluster is 8 pages).
-	SwapInCluster int
+	swapInCluster = 8
+	// autoConvergeStep is the multiplicative vCPU quota cut per
+	// non-converging pre-copy round; autoConvergeFloor is the lowest quota.
+	autoConvergeStep  = 0.7
+	autoConvergeFloor = 0.2
+	// maxScatterInFlight bounds concurrent VMD writes during a
+	// scatter-gather migration's scatter phase.
+	maxScatterInFlight = 128
+)
+
+// Tuning holds the migration engine's knobs. Zero values select defaults.
+type Tuning struct {
 	// BatchPages coalesces runs of consecutive same-kind pages into one
 	// wire message on the bulk paths (pre-copy rounds, active push, the
 	// scatter phase): up to this many page bodies share a single
-	// PageHeaderBytes frame (or, for scatter, a single VMD batch write).
+	// pageHeaderBytes frame (or, for scatter, a single VMD batch write).
 	// Zero or one sends page-at-a-time, byte-identical to the unbatched
 	// engine.
 	BatchPages int
@@ -106,11 +119,9 @@ type Tuning struct {
 	// "SDPS slows down vCPUs to speed up migration of write-intensive
 	// VMs [but] degrades the application performance further"): whenever a
 	// round fails to shrink the dirty set, the guest's CPU quota is cut by
-	// AutoConvergeStep, down to AutoConvergeFloor; full speed returns at
+	// autoConvergeStep, down to autoConvergeFloor; full speed returns at
 	// switchover.
-	AutoConverge      bool
-	AutoConvergeStep  float64 // multiplicative cut per non-converging round (default 0.7)
-	AutoConvergeFloor float64 // lowest quota (default 0.2)
+	AutoConverge bool
 
 	// DisableActivePush is an ablation switch: post-switchover pages move
 	// only by demand paging. The paper argues this makes the transfer take
@@ -123,9 +134,6 @@ type Tuning struct {
 	// VMware-style configuration §VI contrasts against.
 	NoRemoteSwap bool
 
-	// MaxScatterInFlight bounds concurrent VMD writes during a
-	// scatter-gather migration's scatter phase.
-	MaxScatterInFlight int
 	// GatherPrefetch makes the scatter-gather destination actively pull
 	// pages from the VMD (up to its reservation) after the source is
 	// freed, instead of waiting for faults.
@@ -152,46 +160,6 @@ type Tuning struct {
 }
 
 func (t Tuning) withDefaults() Tuning {
-	if t.WindowBytes == 0 {
-		t.WindowBytes = 2 << 20
-	}
-	if t.MaxSwapInFlight == 0 {
-		t.MaxSwapInFlight = 16
-	}
-	if t.PumpPagesPerTick == 0 {
-		t.PumpPagesPerTick = 4096
-	}
-	if t.PageHeaderBytes == 0 {
-		t.PageHeaderBytes = 16
-	}
-	if t.RecordBytes == 0 {
-		t.RecordBytes = 16
-	}
-	if t.CPUStateBytes == 0 {
-		t.CPUStateBytes = 8 << 20
-	}
-	if t.PreCopyMaxRounds == 0 {
-		t.PreCopyMaxRounds = 30
-	}
-	if t.PreCopyStopPages == 0 {
-		// ~250 ms of line rate at 1 Gbps.
-		t.PreCopyStopPages = 7680
-	}
-	if t.DemandRequestBytes == 0 {
-		t.DemandRequestBytes = 32
-	}
-	if t.SwapInCluster == 0 {
-		t.SwapInCluster = 8
-	}
-	if t.AutoConvergeStep == 0 {
-		t.AutoConvergeStep = 0.7
-	}
-	if t.MaxScatterInFlight == 0 {
-		t.MaxScatterInFlight = 128
-	}
-	if t.AutoConvergeFloor == 0 {
-		t.AutoConvergeFloor = 0.2
-	}
 	if t.DemandRetrySeconds > 0 && t.DemandRetryMax == 0 {
 		t.DemandRetryMax = 8
 	}

@@ -240,7 +240,7 @@ func Start(eng *sim.Engine, net *simnet.Network, tech Technique, spec Spec) *Mig
 		m.pushBM = mem.NewBitmap(m.nPages)
 		m.pushBM.SetAll()
 		m.state = phasePush
-		m.pushFlow.SendMessage(m.tun.CPUStateBytes, m.switchover)
+		m.pushFlow.SendMessage(cpuStateBytes, m.switchover)
 	case Agile:
 		m.roundBM = mem.NewBitmap(m.nPages)
 		m.roundBM.SetAll()
@@ -364,9 +364,9 @@ func (m *Migration) NextWake(now sim.Time) (sim.Time, bool) {
 // pumpRound walks the current round's bitmap, respecting the send window
 // and the swap-in concurrency bound.
 func (m *Migration) pumpRound() {
-	budget := m.tun.PumpPagesPerTick
+	budget := pumpPagesPerTick
 	for budget > 0 {
-		if m.pushFlow.Backlog() >= m.tun.WindowBytes {
+		if m.pushFlow.Backlog() >= windowBytes {
 			return
 		}
 		p := m.roundBM.NextSet(m.cursor)
@@ -386,7 +386,7 @@ func (m *Migration) pumpRound() {
 			if st.OnSwap() {
 				// §II: swapped pages must be brought back into memory
 				// before they can be transferred.
-				if m.faultInFlight >= m.tun.MaxSwapInFlight {
+				if m.faultInFlight >= maxSwapInFlight {
 					m.roundBM.Set(p)
 					m.cursor = p
 					return
@@ -403,7 +403,7 @@ func (m *Migration) pumpRound() {
 			// swapped pages take the pre-copy path.
 			switch {
 			case st.OnSwap() && m.tun.NoRemoteSwap:
-				if m.faultInFlight >= m.tun.MaxSwapInFlight {
+				if m.faultInFlight >= maxSwapInFlight {
 					m.roundBM.Set(p)
 					m.cursor = p
 					return
@@ -442,9 +442,9 @@ func (m *Migration) pumpPush() {
 	if m.tun.DisableActivePush {
 		return // ablation: demand paging only; transfer time is unbounded
 	}
-	budget := m.tun.PumpPagesPerTick
+	budget := pumpPagesPerTick
 	for budget > 0 {
-		if m.pushFlow.Backlog() >= m.tun.WindowBytes {
+		if m.pushFlow.Backlog() >= windowBytes {
 			return
 		}
 		p := m.pushBM.NextSet(m.cursor)
@@ -457,7 +457,7 @@ func (m *Migration) pumpPush() {
 				m.event(trace.SourceDrained, "push set empty after %d pages", m.result.PagesSent)
 				m.beginResidualSpan()
 				// FIFO marker: when this arrives, every pushed page has.
-				m.pushFlow.SendMessage(m.tun.RecordBytes, func() {
+				m.pushFlow.SendMessage(recordBytes, func() {
 					m.maybeComplete()
 				})
 				if m.tun.DemandRetrySeconds > 0 {
@@ -473,7 +473,7 @@ func (m *Migration) pumpPush() {
 		st := m.srcTable.State(p)
 		consumed := 1
 		if st.OnSwap() {
-			if m.faultInFlight >= m.tun.MaxSwapInFlight {
+			if m.faultInFlight >= maxSwapInFlight {
 				m.pushBM.Set(p)
 				m.cursor = p
 				return
@@ -530,7 +530,7 @@ func (m *Migration) swapInAndSend(p mem.PageID, bm *mem.Bitmap, freeAfter bool) 
 		return
 	}
 	q := p + 1
-	for int(q) < m.nPages && int(q-p) < m.tun.SwapInCluster && bm.Test(q) && m.srcTable.State(q) == mem.StateSwapped {
+	for int(q) < m.nPages && int(q-p) < swapInCluster && bm.Test(q) && m.srcTable.State(q) == mem.StateSwapped {
 		bm.Clear(q)
 		q++
 	}
@@ -582,7 +582,7 @@ func (m *Migration) sendFullPages(first mem.PageID, n int, freeAfter bool) {
 		r.span = m.sp.Begin(m.eng.NowSeconds(), "batch", m.phaseSpan,
 			trace.Num("pages", float64(n)))
 	}
-	m.pushFlow.SendMessage(mem.PagesToBytes(n)+m.tun.PageHeaderBytes, r.fireF)
+	m.pushFlow.SendMessage(mem.PagesToBytes(n)+pageHeaderBytes, r.fireF)
 	if freeAfter {
 		for q := first; q < end; q++ {
 			m.freeSourcePage(q)
@@ -595,7 +595,7 @@ func (m *Migration) sendFullPages(first mem.PageID, n int, freeAfter bool) {
 func (m *Migration) sendFullPage(p mem.PageID, freeAfter bool) {
 	m.result.PagesSent++
 	m.srcTable.ClearDirty(p)
-	m.pushFlow.SendMessage(mem.PageSize+m.tun.PageHeaderBytes, m.newMsg(kindFull, p, 1).fireF)
+	m.pushFlow.SendMessage(mem.PageSize+pageHeaderBytes, m.newMsg(kindFull, p, 1).fireF)
 	if freeAfter {
 		m.freeSourcePage(p)
 	}
@@ -675,7 +675,7 @@ func (m *Migration) requestFromSource(p mem.PageID, done func()) {
 		}
 		m.demandMeta[p] = dt
 	}
-	m.ctrlFlow.SendMessage(m.tun.DemandRequestBytes, m.newMsg(kindDemandReq, p, 1).fireF)
+	m.ctrlFlow.SendMessage(demandRequestBytes, m.newMsg(kindDemandReq, p, 1).fireF)
 	if m.tun.DemandRetrySeconds > 0 {
 		m.armDemandRetry(p, m.tun.DemandRetrySeconds, 1)
 	}
@@ -705,7 +705,7 @@ func (m *Migration) armDemandRetry(p mem.PageID, delay float64, attempt int) {
 		}
 		r := m.newMsg(kindDemandReq, p, 1)
 		r.retry = true
-		m.ctrlFlow.SendMessage(m.tun.DemandRequestBytes, r.fireF)
+		m.ctrlFlow.SendMessage(demandRequestBytes, r.fireF)
 		next := delay * 2
 		if max := m.tun.DemandRetrySeconds * 16; next > max {
 			next = max
@@ -756,7 +756,7 @@ func (m *Migration) respondDemand(p mem.PageID) {
 	m.result.PagesDemandServed++
 	m.srcTable.ClearDirty(p)
 	m.outstandingDemand++
-	m.demandFlow.SendMessage(mem.PageSize+m.tun.PageHeaderBytes, m.newMsg(kindDemandResp, p, 1).fireF)
+	m.demandFlow.SendMessage(mem.PageSize+pageHeaderBytes, m.newMsg(kindDemandResp, p, 1).fireF)
 	m.freeSourcePage(p)
 }
 

@@ -150,7 +150,7 @@ func (m *Migration) sendRecord(kind msgKind, p mem.PageID, off uint32) {
 	}
 	r.count++
 	lost := m.lostMessages()
-	m.pushFlow.SendMessage(m.tun.RecordBytes, r.fireF)
+	m.pushFlow.SendMessage(recordBytes, r.fireF)
 	if m.lostMessages() != lost {
 		// A loss window dropped the message, so no landing will come for
 		// it: the run ends before it.

@@ -34,7 +34,7 @@ func (m *Migration) startScatterGather() {
 	m.pushBM.SetAll()
 	m.knownUntouched = mem.NewBitmap(m.nPages)
 	m.state = phasePush
-	m.pushFlow.SendMessage(m.tun.CPUStateBytes, m.switchover)
+	m.pushFlow.SendMessage(cpuStateBytes, m.switchover)
 }
 
 // pumpScatter walks the remaining pages, scattering resident ones to the
@@ -43,12 +43,12 @@ func (m *Migration) pumpScatter() {
 	// Scattering starts immediately — it needs no destination involvement,
 	// and the records queue behind the CPU-state message on the FIFO
 	// stream, so they cannot arrive before the namespace attaches.
-	budget := m.tun.PumpPagesPerTick
+	budget := pumpPagesPerTick
 	for budget > 0 {
-		if m.scatterInFlight >= m.tun.MaxScatterInFlight {
+		if m.scatterInFlight >= maxScatterInFlight {
 			return
 		}
-		if m.pushFlow.Backlog() >= m.tun.WindowBytes {
+		if m.pushFlow.Backlog() >= windowBytes {
 			return
 		}
 		p := m.pushBM.NextSet(m.cursor)
@@ -66,7 +66,7 @@ func (m *Migration) pumpScatter() {
 				m.srcDrained = true
 				m.event(trace.SourceDrained, "scatter complete after %d pages", m.result.PagesScattered)
 				m.beginResidualSpan()
-				m.pushFlow.SendMessage(m.tun.RecordBytes, func() {
+				m.pushFlow.SendMessage(recordBytes, func() {
 					m.maybeComplete()
 				})
 			}
@@ -163,7 +163,7 @@ func (m *Migration) sendScatterRecords(first mem.PageID, n int) {
 		return
 	}
 	m.result.OffsetRecords += int64(n)
-	m.pushFlow.SendMessage(int64(n)*m.tun.RecordBytes, m.newMsg(kindScatterBatch, first, n).fireF)
+	m.pushFlow.SendMessage(int64(n)*recordBytes, m.newMsg(kindScatterBatch, first, n).fireF)
 }
 
 // deliverScatterRecord lands one swapped-bitmap record at the destination.
@@ -204,7 +204,7 @@ func (m *Migration) startGatherPrefetch() {
 	// and the engine may skip; fault completions and reclaim run off their
 	// own wakes.
 	hint := func(now sim.Time) (sim.Time, bool) {
-		if done || m.gatherInFlight >= m.tun.MaxSwapInFlight ||
+		if done || m.gatherInFlight >= maxSwapInFlight ||
 			mem.BytesToPages(m.destGroup.ReservationBytes()) <= m.destTable.InRAM() {
 			return sim.Never, true
 		}
@@ -215,10 +215,10 @@ func (m *Migration) startGatherPrefetch() {
 			return
 		}
 		headroom := mem.BytesToPages(m.destGroup.ReservationBytes()) - m.destTable.InRAM()
-		for m.gatherInFlight < m.tun.MaxSwapInFlight && headroom > 0 {
+		for m.gatherInFlight < maxSwapInFlight && headroom > 0 {
 			// Collect the next cluster of swapped pages.
 			r := m.newMsg(kindGathered, 0, 0)
-			for p := cursor; int(p) < m.nPages && len(r.pages) < m.tun.SwapInCluster; p++ {
+			for p := cursor; int(p) < m.nPages && len(r.pages) < swapInCluster; p++ {
 				cursor = p + 1
 				if m.destTable.State(p) == mem.StateSwapped {
 					r.pages = append(r.pages, p)

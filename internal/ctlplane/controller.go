@@ -35,6 +35,8 @@ type Controller struct {
 	byName  map[string]*Migration
 	running int
 	kicked  bool
+
+	em *trace.Emitter // cluster-scope phase transitions; nil records nothing
 }
 
 // NewController builds a controller over the cluster.
@@ -44,6 +46,7 @@ func NewController(eng *sim.Engine, cl Cluster, cfg Config) *Controller {
 		cl:     cl,
 		cfg:    cfg,
 		byName: make(map[string]*Migration),
+		em:     cfg.Trace.Emitter(trace.ScopeCluster, ""),
 	}
 }
 
@@ -360,8 +363,8 @@ func (c *Controller) transition(m *Migration, to Phase) {
 }
 
 func (c *Controller) trace(format string, args ...interface{}) {
-	if c.cfg.Trace == nil {
+	if !c.em.Enabled() {
 		return
 	}
-	c.cfg.Trace.Add(c.eng.NowSeconds(), trace.CtlPhase, format, args...)
+	c.em.Emitf(c.eng.NowSeconds(), trace.CtlPhase, format, args...)
 }

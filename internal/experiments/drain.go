@@ -26,9 +26,6 @@ type DrainOptions struct {
 	// MaxConcurrent bounds simultaneously running migrations (default 4 —
 	// the drain genuinely shares NICs and VMD bandwidth).
 	MaxConcurrent int
-	// SLOp99Seconds is the application p99 latency bound the drain is
-	// judged against (default 0.5 s).
-	SLOp99Seconds float64
 	// MaxSeconds bounds the drain phase in simulated time.
 	MaxSeconds float64
 
@@ -51,7 +48,6 @@ func DefaultDrainOptions() DrainOptions {
 		Scale:         1,
 		Seed:          1,
 		MaxConcurrent: 4,
-		SLOp99Seconds: 0.5,
 		MaxSeconds:    4000,
 		RackCells:     32,
 		Shards:        1,
@@ -108,6 +104,10 @@ type DrainReport struct {
 // drainVMs is the number of VMs evacuated from the loaded host.
 const drainVMs = 6
 
+// sloP99Seconds is the application p99 latency bound the drain is judged
+// against.
+const sloP99Seconds = 0.5
+
 // RunDrain runs the host-drain comparison across both placement policies,
 // then the faulted rack evacuation. Everything runs on simulated time;
 // output is byte-identical at any Shards value and GOMAXPROCS.
@@ -118,13 +118,10 @@ func RunDrain(opt DrainOptions) DrainReport {
 	if opt.MaxConcurrent <= 0 {
 		opt.MaxConcurrent = 4
 	}
-	if opt.SLOp99Seconds <= 0 {
-		opt.SLOp99Seconds = 0.5
-	}
 	if opt.MaxSeconds <= 0 {
 		opt.MaxSeconds = 4000
 	}
-	rep := DrainReport{SLOp99Seconds: opt.SLOp99Seconds}
+	rep := DrainReport{SLOp99Seconds: sloP99Seconds}
 	policies := []ctlplane.PlacementPolicy{
 		ctlplane.GreedyFreeRAM{},
 		ctlplane.DestinationSwap{},
@@ -252,7 +249,7 @@ func runDrainPolicy(opt DrainOptions, pol ctlplane.PlacementPolicy) DrainPolicyR
 	for _, hostName := range detorder.Keys(spread) {
 		res.Spread = append(res.Spread, DrainSpread{Host: hostName, VMs: spread[hostName]})
 	}
-	res.SLOMet = res.Counts.Succeeded == res.Counts.Total && res.MaxP99Seconds < opt.SLOp99Seconds
+	res.SLOMet = res.Counts.Succeeded == res.Counts.Total && res.MaxP99Seconds < sloP99Seconds
 	return res
 }
 

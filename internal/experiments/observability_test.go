@@ -77,7 +77,7 @@ func TestTracingEquivalence(t *testing.T) {
 		t.Fatal("observed run recorded no events")
 	}
 	// The span side of the bus must have recorded the migration too: one
-	// root (the trace attaches to the ObserveTechnique run only), every
+	// root (the trace attaches to the Agile run only), every
 	// migration-tree span closed (device reads may still be in flight at
 	// the cutoff) — and none of it may have perturbed the rows above.
 	roots := 0

@@ -20,14 +20,11 @@ type QuickstartConfig struct {
 	// Techniques defaults to PreCopy, PostCopy, Agile.
 	Techniques []core.Technique
 
-	// Trace/Metrics, when non-nil, attach to the ObserveTechnique run only:
-	// each technique gets a fresh testbed whose sim clock restarts at zero,
-	// so a shared bus would interleave three timelines.
+	// Trace/Metrics, when non-nil, attach to the Agile run only: each
+	// technique gets a fresh testbed whose sim clock restarts at zero, so a
+	// shared bus would interleave three timelines.
 	Trace   *trace.Trace
 	Metrics *metrics.Registry
-	// ObserveTechnique selects the traced run (DefaultQuickstartConfig
-	// picks Agile).
-	ObserveTechnique core.Technique
 
 	DisableFastForward bool
 
@@ -48,10 +45,9 @@ type QuickstartConfig struct {
 // 6 GiB host, all multiplied by Scale.
 func DefaultQuickstartConfig() QuickstartConfig {
 	return QuickstartConfig{
-		Scale:            1,
-		Seed:             1,
-		Techniques:       []core.Technique{core.PreCopy, core.PostCopy, core.Agile},
-		ObserveTechnique: core.Agile,
+		Scale:      1,
+		Seed:       1,
+		Techniques: []core.Technique{core.PreCopy, core.PostCopy, core.Agile},
 	}
 }
 
@@ -64,7 +60,7 @@ type QuickstartResult struct {
 
 // RunQuickstart migrates the quickstart VM once per technique and returns
 // the results in technique order. Runs are sequential and independent; the
-// configured Trace/Metrics observe only the ObserveTechnique run.
+// configured Trace/Metrics observe only the Agile run.
 func RunQuickstart(cfg QuickstartConfig) []QuickstartResult {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
@@ -82,7 +78,7 @@ func RunQuickstart(cfg QuickstartConfig) []QuickstartResult {
 		ccfg.Faults = cfg.Faults
 		ccfg.Replicas = cfg.Replicas
 		ccfg.VMD = cfg.VMD
-		if tech == cfg.ObserveTechnique {
+		if tech == core.Agile {
 			ccfg.Trace = cfg.Trace
 			ccfg.Metrics = cfg.Metrics
 		}

@@ -150,7 +150,7 @@ func RecoveryTime(s *Series, fromT, target float64, smoothWindow, sustain int) (
 		sustain = 1
 	}
 	run := 0
-	for _, p := range sm.Points {
+	for i, p := range sm.Points {
 		if p.T < fromT {
 			continue
 		}
@@ -158,8 +158,7 @@ func RecoveryTime(s *Series, fromT, target float64, smoothWindow, sustain int) (
 			run++
 			if run == sustain {
 				// Recovery is the first sample of the sustained run.
-				idx := indexOfTime(sm, p.T)
-				first := sm.Points[idx-sustain+1]
+				first := sm.Points[i-sustain+1]
 				return first.T - fromT, true
 			}
 		} else {
@@ -167,15 +166,6 @@ func RecoveryTime(s *Series, fromT, target float64, smoothWindow, sustain int) (
 		}
 	}
 	return 0, false
-}
-
-func indexOfTime(s *Series, t float64) int {
-	i := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= t })
-	//lint:tickdrift exact — lookup of a previously recorded timestamp, compared verbatim; no arithmetic on either side
-	if i < len(s.Points) && s.Points[i].T == t {
-		return i
-	}
-	return -1
 }
 
 // Sampler periodically samples a value function into a series. Register it

@@ -117,6 +117,29 @@ func TestRecoveryTimeNever(t *testing.T) {
 	}
 }
 
+// TestRecoveryTimeEqualTimestamps feeds samples that share a timestamp,
+// which Series.Add allows: the sustained run must start at its own first
+// sample, not at the first sample carrying the same time.
+func TestRecoveryTimeEqualTimestamps(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pts  []Point
+		want float64
+	}{
+		{"run opens the series", []Point{{1, 10}, {1, 10}}, 1},
+		{"run shares a time with a low sample", []Point{{0, 1}, {1, 1}, {1, 10}, {1, 10}}, 1},
+	} {
+		s := NewSeries("tput")
+		for _, p := range tc.pts {
+			s.Add(p.T, p.V)
+		}
+		d, ok := RecoveryTime(s, 0, 10, 1, 2)
+		if !ok || d != tc.want {
+			t.Errorf("%s: RecoveryTime = %v, %v; want %v, true", tc.name, d, ok, tc.want)
+		}
+	}
+}
+
 func TestRecoveryTimeSustainRejectsBlip(t *testing.T) {
 	s := NewSeries("tput")
 	for i := 0; i <= 50; i++ {

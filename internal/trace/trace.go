@@ -293,19 +293,6 @@ func (t *Trace) record(ev Event) {
 	t.drops++
 }
 
-// Add records an event with no actor (cluster scope). A nil Trace is a
-// no-op, so callers can thread an optional trace without nil checks.
-func (t *Trace) Add(now float64, kind Kind, format string, args ...interface{}) {
-	if t == nil {
-		return
-	}
-	detail := format
-	if len(args) > 0 {
-		detail = fmt.Sprintf(format, args...)
-	}
-	t.record(Event{T: now, Kind: kind, Detail: detail})
-}
-
 // Len returns the number of events currently held.
 func (t *Trace) Len() int {
 	if t == nil {
@@ -345,9 +332,6 @@ func (t *Trace) Drops() int64 {
 	}
 	return t.drops
 }
-
-// Dropped returns Drops as an int, for callers predating Drops.
-func (t *Trace) Dropped() int { return int(t.Drops()) }
 
 // Cap returns the ring capacity.
 func (t *Trace) Cap() int {

@@ -7,9 +7,10 @@ import (
 
 func TestAddAndFind(t *testing.T) {
 	tr := New(16)
-	tr.Add(1.5, MigrationStart, "vm%d", 1)
-	tr.Add(2.0, Suspend, "stop")
-	tr.Add(3.0, Switchover, "resumed")
+	em := tr.Emitter(ScopeCluster, "")
+	em.Emitf(1.5, MigrationStart, "vm%d", 1)
+	em.Emit(2.0, Suspend, "stop")
+	em.Emit(3.0, Switchover, "resumed")
 	if len(tr.Events()) != 3 {
 		t.Fatalf("%d events", len(tr.Events()))
 	}
@@ -27,8 +28,9 @@ func TestAddAndFind(t *testing.T) {
 
 func TestRingDropsOldest(t *testing.T) {
 	tr := New(4)
+	em := tr.Emitter(ScopeCluster, "")
 	for i := 0; i < 10; i++ {
-		tr.Add(float64(i), RoundEnd, "r%d", i)
+		em.Emitf(float64(i), RoundEnd, "r%d", i)
 	}
 	ev := tr.Events()
 	if len(ev) != 4 {
@@ -37,24 +39,25 @@ func TestRingDropsOldest(t *testing.T) {
 	if ev[0].Detail != "r6" || ev[3].Detail != "r9" {
 		t.Fatalf("wrong window: %v .. %v", ev[0].Detail, ev[3].Detail)
 	}
-	if tr.Dropped() != 6 {
-		t.Fatalf("Dropped = %d", tr.Dropped())
+	if tr.Drops() != 6 {
+		t.Fatalf("Drops = %d", tr.Drops())
 	}
 }
 
 func TestNilTraceSafe(t *testing.T) {
 	var tr *Trace
-	tr.Add(1, Suspend, "x") // must not panic
-	if tr.Events() != nil || tr.Dropped() != 0 || tr.Find(Suspend) != nil || tr.Count(Suspend) != 0 {
+	tr.Emitter(ScopeCluster, "").Emit(1, Suspend, "x") // must not panic
+	if tr.Events() != nil || tr.Drops() != 0 || tr.Find(Suspend) != nil || tr.Count(Suspend) != 0 {
 		t.Fatal("nil trace not inert")
 	}
 }
 
 func TestCount(t *testing.T) {
 	tr := New(0)
-	tr.Add(1, RoundEnd, "")
-	tr.Add(2, RoundEnd, "")
-	tr.Add(3, Suspend, "")
+	em := tr.Emitter(ScopeCluster, "")
+	em.Emit(1, RoundEnd, "")
+	em.Emit(2, RoundEnd, "")
+	em.Emit(3, Suspend, "")
 	if tr.Count(RoundEnd) != 2 || tr.Count(Suspend) != 1 {
 		t.Fatal("count wrong")
 	}
@@ -62,9 +65,10 @@ func TestCount(t *testing.T) {
 
 func TestStringRendersAllEvents(t *testing.T) {
 	tr := New(2)
-	tr.Add(1, MigrationStart, "a")
-	tr.Add(2, Complete, "b")
-	tr.Add(3, Complete, "c")
+	em := tr.Emitter(ScopeCluster, "")
+	em.Emit(1, MigrationStart, "a")
+	em.Emit(2, Complete, "b")
+	em.Emit(3, Complete, "c")
 	out := tr.String()
 	if !strings.Contains(out, "complete") || !strings.Contains(out, "dropped") {
 		t.Fatalf("render missing pieces:\n%s", out)

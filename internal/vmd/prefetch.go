@@ -3,15 +3,29 @@
 // k consecutive same-direction offsets arm an asynchronous readahead
 // window that pulls the pages ahead of the stream into a client-side
 // staging cache. Staged hits bypass the network entirely; useful windows
-// double (up to MaxWindow) and a broken stream resets. Prefetch traffic
-// rides the same simulated flows as foreground reads, so it genuinely
-// competes for NIC bandwidth.
+// double (up to readaheadMaxWindow) and a broken stream resets. Prefetch
+// traffic rides the same simulated flows as foreground reads, so it
+// genuinely competes for NIC bandwidth.
 
 package vmd
 
 import (
 	"agilemig/internal/mem"
 	"agilemig/internal/trace"
+)
+
+const (
+	// readaheadTrigger is how many consecutive same-direction offsets arm
+	// a readahead window.
+	readaheadTrigger = 4
+	// readaheadInitWindow is the first window size in pages; each useful
+	// window doubles it up to readaheadMaxWindow. A broken stream resets
+	// to readaheadInitWindow.
+	readaheadInitWindow = 8
+	readaheadMaxWindow  = 64
+	// stagingPages bounds the client-side staging cache; the oldest staged
+	// pages are discarded (counted as wasted) beyond it.
+	stagingPages = 512
 )
 
 // prefetcher is one client's readahead state on one namespace.
@@ -53,7 +67,7 @@ func (ns *Namespace) prefFor(c *Client) *prefetcher {
 		}
 	}
 	n := len(ns.placement)
-	pf := &prefetcher{ns: ns, c: c, window: ns.vmd.store.Readahead.InitWindow,
+	pf := &prefetcher{ns: ns, c: c, window: readaheadInitWindow,
 		staged: mem.NewBitmap(n), inflight: mem.NewBitmap(n)}
 	ns.pref = append(ns.pref, pf)
 	return pf
@@ -101,7 +115,6 @@ func (pf *prefetcher) noteHit(off uint32) {
 
 // note updates the stream detector with one demand-read offset.
 func (pf *prefetcher) note(off uint32) {
-	cfg := &pf.ns.vmd.store.Readahead
 	switch {
 	case !pf.seen:
 		pf.seen = true
@@ -117,7 +130,7 @@ func (pf *prefetcher) note(off uint32) {
 		// Stream broken: restart detection and shrink the window back.
 		pf.run = 1
 		pf.dir = 0
-		pf.window = cfg.InitWindow
+		pf.window = readaheadInitWindow
 	}
 	pf.lastOff = off
 }
@@ -127,8 +140,7 @@ func (pf *prefetcher) note(off uint32) {
 // stream.
 func (pf *prefetcher) maybeIssue(off uint32) {
 	ns := pf.ns
-	cfg := &ns.vmd.store.Readahead
-	if pf.busy || pf.dir == 0 || pf.run < cfg.Trigger {
+	if pf.busy || pf.dir == 0 || pf.run < readaheadTrigger {
 		return
 	}
 	limit := len(ns.placement)
@@ -138,7 +150,7 @@ func (pf *prefetcher) maybeIssue(off uint32) {
 	// already staged/inflight ones are skipped (the window extends past
 	// them); anything else ends the window — the stream is about to break
 	// on it anyway. The walk is bounded so skip chains cannot spin.
-	for scanned := 0; len(batch) < pf.window && scanned < 4*cfg.MaxWindow; scanned++ {
+	for scanned := 0; len(batch) < pf.window && scanned < 4*readaheadMaxWindow; scanned++ {
 		cur += int64(pf.dir)
 		if cur < 0 || cur >= int64(limit) {
 			break
@@ -158,10 +170,10 @@ func (pf *prefetcher) maybeIssue(off uint32) {
 	}
 	pf.busy = true
 	pf.issued += int64(len(batch))
-	if pf.window < cfg.MaxWindow {
+	if pf.window < readaheadMaxWindow {
 		pf.window *= 2
-		if pf.window > cfg.MaxWindow {
-			pf.window = cfg.MaxWindow
+		if pf.window > readaheadMaxWindow {
+			pf.window = readaheadMaxWindow
 		}
 	}
 	for _, o := range batch {
@@ -274,8 +286,7 @@ func (pf *prefetcher) expired(x *readXfer) {
 // leave stale entries behind, which a streaming scan would otherwise
 // accumulate without end.
 func (pf *prefetcher) evictStaging() {
-	budget := pf.ns.vmd.store.Readahead.StagingPages
-	for pf.staged.Count() > budget && len(pf.order) > 0 {
+	for pf.staged.Count() > stagingPages && len(pf.order) > 0 {
 		o := mem.PageID(pf.order[0])
 		pf.order = pf.order[1:]
 		if pf.staged.Test(o) {
@@ -283,7 +294,7 @@ func (pf *prefetcher) evictStaging() {
 			pf.wasted++
 		}
 	}
-	if len(pf.order) > 2*budget {
+	if len(pf.order) > 2*stagingPages {
 		pf.compactOrder()
 	}
 }

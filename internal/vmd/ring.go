@@ -1,5 +1,5 @@
 // Consistent-hash placement (StoreConfig.Placement == PlaceHash): servers
-// project VirtualNodes points onto a 64-bit ring keyed by stable name
+// project virtualNodes points onto a 64-bit ring keyed by stable name
 // hashing; a page's candidates are the distinct servers met walking the
 // ring clockwise from the page's key. A membership change therefore moves
 // only the arc owned by the joining/leaving server, and a background
@@ -26,6 +26,9 @@ const ringRoot uint64 = 0x61676c6d69672d76 // "aglmig-v"
 // at most the configured bandwidth budget's worth of pages for one period.
 const rebalanceInterval = 0.1
 
+// virtualNodes is the number of ring points per server.
+const virtualNodes = 16
+
 type ringPoint struct {
 	hash uint64
 	srv  int16
@@ -46,9 +49,9 @@ func mix64(x uint64) uint64 {
 // stable per server name, so adding a server leaves every other server's
 // points where they were — the consistent-hashing property.
 func (v *VMD) rebuildRing() {
-	pts := make([]ringPoint, 0, len(v.servers)*v.store.VirtualNodes)
+	pts := make([]ringPoint, 0, len(v.servers)*virtualNodes)
 	for _, s := range v.servers {
-		for i := 0; i < v.store.VirtualNodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			h := sim.SeedForName(ringRoot, fmt.Sprintf("%s#%d", s.name, i))
 			pts = append(pts, ringPoint{hash: h, srv: s.idx})
 		}

@@ -192,9 +192,6 @@ func (op *runOp) degrade() {
 // client's local swap disk.
 func (op *runOp) spill() {
 	ns, c, off := op.ns, op.c, op.first
-	if ns.vmd.strict {
-		panic(fmt.Sprintf("vmd: pool exhausted writing %s offset %d", ns.name, off))
-	}
 	if c.spillDev == nil {
 		panic(fmt.Sprintf("vmd: pool exhausted writing %s offset %d and no spill device attached to %s", ns.name, off, c.name))
 	}

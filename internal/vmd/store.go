@@ -45,99 +45,47 @@ type StoreConfig struct {
 
 	// Placement selects round-robin (default) or consistent hashing.
 	Placement Placement
-	// VirtualNodes is the number of ring points per server under PlaceHash
-	// (default 16).
-	VirtualNodes int
 	// RebalanceBytesPerSec bounds the background rebalance bandwidth after
 	// a membership change under PlaceHash. 0 disables background moves:
 	// only new writes follow the updated ring.
 	RebalanceBytesPerSec int64
 }
 
-// ReadaheadConfig tunes the per-client stream detector and staging cache.
+// ReadaheadConfig switches on the per-client stream detector and staging
+// cache (prefetch.go).
 type ReadaheadConfig struct {
 	Enabled bool
-	// Trigger is how many consecutive same-direction offsets arm a
-	// readahead window (default 4).
-	Trigger int
-	// InitWindow is the first window size in pages (default 8); each
-	// useful window doubles it up to MaxWindow (default 64). A broken
-	// stream resets to InitWindow.
-	InitWindow int
-	MaxWindow  int
-	// StagingPages bounds the client-side staging cache; the oldest staged
-	// pages are discarded (counted as wasted) beyond it (default 512).
-	StagingPages int
 }
 
 // TierConfig tunes the tier stack around the remote-DRAM pool.
 type TierConfig struct {
 	Enabled bool
 	// CompressedCapPages is the raw RAM budget (in pages) a client may
-	// spend on its compressed tier; it holds CompressRatio times as many
+	// spend on its compressed tier; it holds compressRatio times as many
 	// logical pages. 0 disables the client tier while keeping the
 	// server-side hot/cold scan.
 	CompressedCapPages int64
-	// CompressRatio is the simulated compression ratio (default 3.0).
-	CompressRatio float64
-	// CompressSeconds is the simulated CPU cost to (de)compress one page
-	// (default 3e-6 s, ~1.3 GB/s per core).
-	CompressSeconds float64
-	// EpochSeconds is the coarse-clock period of the hot/cold scan
-	// (default 1 s).
-	EpochSeconds float64
-	// ColdEpochs is how many epochs without access make a page cold
-	// (default 8).
-	ColdEpochs int
-	// ScanPagesPerEpoch bounds the demotion scan per namespace per epoch
-	// (default 4096).
-	ScanPagesPerEpoch int
 }
 
-// withDefaults fills unset tunables. BatchPages normalizes to >= 1 so the
-// rest of the code can treat it as a run length.
+const (
+	// compressRatio is the simulated compression ratio of the client tier.
+	compressRatio = 3
+	// compressSeconds is the simulated CPU cost to (de)compress one page
+	// (~1.3 GB/s per core).
+	compressSeconds = 3e-6
+	// tierEpochSeconds is the coarse-clock period of the hot/cold scan.
+	tierEpochSeconds = 1.0
+	// coldEpochs is how many epochs without access make a page cold.
+	coldEpochs = 8
+	// scanPagesPerEpoch bounds the demotion scan per namespace per epoch.
+	scanPagesPerEpoch = 4096
+)
+
+// withDefaults normalizes BatchPages to >= 1, so the rest of the code can
+// treat it as a run length, and a negative rebalance budget to zero.
 func (cfg StoreConfig) withDefaults() StoreConfig {
 	if cfg.BatchPages < 1 {
 		cfg.BatchPages = 1
-	}
-	if cfg.Readahead.Enabled {
-		r := &cfg.Readahead
-		if r.Trigger <= 0 {
-			r.Trigger = 4
-		}
-		if r.InitWindow <= 0 {
-			r.InitWindow = 8
-		}
-		if r.MaxWindow < r.InitWindow {
-			r.MaxWindow = 64
-			if r.MaxWindow < r.InitWindow {
-				r.MaxWindow = r.InitWindow
-			}
-		}
-		if r.StagingPages <= 0 {
-			r.StagingPages = 512
-		}
-	}
-	if cfg.Tiers.Enabled {
-		t := &cfg.Tiers
-		if t.CompressRatio <= 1 {
-			t.CompressRatio = 3.0
-		}
-		if t.CompressSeconds <= 0 {
-			t.CompressSeconds = 3e-6
-		}
-		if t.EpochSeconds <= 0 {
-			t.EpochSeconds = 1.0
-		}
-		if t.ColdEpochs <= 0 {
-			t.ColdEpochs = 8
-		}
-		if t.ScanPagesPerEpoch <= 0 {
-			t.ScanPagesPerEpoch = 4096
-		}
-	}
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = 16
 	}
 	if cfg.RebalanceBytesPerSec < 0 {
 		cfg.RebalanceBytesPerSec = 0
@@ -155,7 +103,7 @@ func (v *VMD) Configure(cfg StoreConfig) {
 	}
 	v.store = cfg.withDefaults()
 	if t := v.store.Tiers; t.Enabled {
-		v.ctierCap = int64(t.CompressRatio * float64(t.CompressedCapPages))
+		v.ctierCap = compressRatio * t.CompressedCapPages
 		v.startTierScan()
 	}
 }
@@ -187,7 +135,7 @@ func (ns *Namespace) touch(off uint32) {
 // startTierScan registers the coarse-clock ticker advancing the tier epoch
 // and running the per-namespace demotion scan.
 func (v *VMD) startTierScan() {
-	v.eng.Every(v.eng.SecondsToTicks(v.store.Tiers.EpochSeconds), func(sim.Time) bool {
+	v.eng.Every(v.eng.SecondsToTicks(tierEpochSeconds), func(sim.Time) bool {
 		v.tierEpoch++
 		for _, ns := range v.namespaces {
 			ns.demoteScan()
@@ -197,7 +145,7 @@ func (v *VMD) startTierScan() {
 }
 
 // demoteScan walks a bounded window of the placement table and demotes
-// primary pages that have not been touched for ColdEpochs from server
+// primary pages that have not been touched for coldEpochs from server
 // memory to the server's disk tier. The scan is a deterministic cursor
 // sweep; per-server disk traffic for one scan is coalesced into a single
 // device write.
@@ -206,10 +154,9 @@ func (ns *Namespace) demoteScan() {
 		return
 	}
 	v := ns.vmd
-	t := &v.store.Tiers
 	epoch := v.tierEpoch
 	n := len(ns.placement)
-	scan := t.ScanPagesPerEpoch
+	scan := scanPagesPerEpoch
 	if scan > n {
 		scan = n
 	}
@@ -222,7 +169,7 @@ func (ns *Namespace) demoteScan() {
 		if sIdx == noServer || ns.onDisk.Test(mem.PageID(off)) {
 			continue
 		}
-		if ns.heat[off]+uint32(t.ColdEpochs) > epoch {
+		if ns.heat[off]+coldEpochs > epoch {
 			continue
 		}
 		s := v.servers[sIdx]
@@ -388,7 +335,7 @@ func (ns *Namespace) ctierStore(st *ctierState, off uint32, fn func()) {
 	st.used++
 	ns.stored++
 	ns.touch(off)
-	v.eng.AfterSeconds(v.store.Tiers.CompressSeconds, orNoop(fn))
+	v.eng.AfterSeconds(compressSeconds, orNoop(fn))
 }
 
 // orNoop returns fn, or a function that does nothing when fn is nil, so a
@@ -423,7 +370,7 @@ func (st *ctierState) evictOne() bool {
 		}
 		// Decompress, then push to the pool as a one-page run (which
 		// bypasses this tier). ns.stored already counts the page.
-		v.eng.AfterSeconds(v.store.Tiers.CompressSeconds, func() {
+		v.eng.AfterSeconds(compressSeconds, func() {
 			ns.writeRemote(st.c, victim, 1, true, func() {
 				st.finishWriteback(victim)
 			})
@@ -466,7 +413,7 @@ func (ns *Namespace) ctierRewrite(st *ctierState, off uint32, fn func()) {
 		st.used++
 	}
 	ns.touch(off)
-	v.eng.AfterSeconds(v.store.Tiers.CompressSeconds, orNoop(fn))
+	v.eng.AfterSeconds(compressSeconds, orNoop(fn))
 }
 
 // ctierFree releases a tier-held offset (the hypervisor faulted the page
@@ -491,7 +438,7 @@ func (ns *Namespace) readCtier(st *ctierState, c *Client, off uint32, fn func())
 	if ns.em.Enabled() {
 		ns.em.Emitf(v.eng.NowSeconds(), trace.VMDRead, "offset %d from %s compressed tier via %s", off, st.c.name, c.name)
 	}
-	v.eng.AfterSeconds(v.store.Tiers.CompressSeconds, func() {
+	v.eng.AfterSeconds(compressSeconds, func() {
 		if st.c == c {
 			c.countRead(originCtier)
 			if fn != nil {

@@ -203,8 +203,8 @@ func TestPrefetchInvalidatedByWrite(t *testing.T) {
 }
 
 func TestCtierStoresEvictsAndServes(t *testing.T) {
-	// 8 RAM pages at ratio 2 hold 16 logical pages compressed.
-	store := StoreConfig{Tiers: TierConfig{Enabled: true, CompressedCapPages: 8, CompressRatio: 2}}
+	// 8 RAM pages at compressRatio 3 hold 24 logical pages compressed.
+	store := StoreConfig{Tiers: TierConfig{Enabled: true, CompressedCapPages: 8}}
 	r := newStoreRig(t, store, 1, 1000, 100)
 	r.client.SetLocalTier(true)
 	done := 0
@@ -215,15 +215,15 @@ func TestCtierStoresEvictsAndServes(t *testing.T) {
 	if done != 40 {
 		t.Fatalf("%d/40 writes acked through the compressed tier", done)
 	}
-	if got := r.ns.CtierPages(); got != 16 {
-		t.Fatalf("ctier holds %d pages, want its 16-page cap", got)
+	if got := r.ns.CtierPages(); got != 24 {
+		t.Fatalf("ctier holds %d pages, want its 24-page cap", got)
 	}
 	_, writebacks := r.ns.CtierStats()
-	if writebacks != 24 {
-		t.Fatalf("%d writebacks, want 24 evictions past the cap", writebacks)
+	if writebacks != 16 {
+		t.Fatalf("%d writebacks, want 16 evictions past the cap", writebacks)
 	}
-	if r.servers[0].Used() != 24 {
-		t.Fatalf("server holds %d evicted pages, want 24", r.servers[0].Used())
+	if r.servers[0].Used() != 16 {
+		t.Fatalf("server holds %d evicted pages, want 16", r.servers[0].Used())
 	}
 	// Every offset — compressed-local or evicted-remote — reads back, and
 	// tier-resident reads count as ctier-origin.
@@ -255,9 +255,7 @@ func TestCtierStoresEvictsAndServes(t *testing.T) {
 }
 
 func TestTierScanDemotesColdPromotesHot(t *testing.T) {
-	store := StoreConfig{Tiers: TierConfig{
-		Enabled: true, EpochSeconds: 0.5, ColdEpochs: 4, ScanPagesPerEpoch: 1024,
-	}}
+	store := StoreConfig{Tiers: TierConfig{Enabled: true}}
 	r := newStoreRig(t, store, 1, 1000, 100)
 	disk := blockdev.New(r.eng, blockdev.Config{Name: "hdd", BytesPerSecond: 200_000_000, IOPS: 50_000})
 	r.servers[0].AttachDisk(disk, 1000)
@@ -265,8 +263,9 @@ func TestTierScanDemotesColdPromotesHot(t *testing.T) {
 		r.ns.Write(r.client, uint32(i), nil)
 	}
 	r.eng.RunSeconds(1)
-	// Idle long past ColdEpochs: the scan demotes everything to disk.
-	r.eng.RunSeconds(10)
+	// Idle long past coldEpochs of tierEpochSeconds each: the scan
+	// demotes everything to disk.
+	r.eng.RunSeconds(2 * coldEpochs * tierEpochSeconds)
 	demoted, _ := r.ns.TierStats()
 	if demoted != 64 {
 		t.Fatalf("demotions = %d, want all 64 cold pages", demoted)
@@ -356,8 +355,8 @@ func TestRebalanceOnJoinMovesTowardRing(t *testing.T) {
 // staging budget however long the scan runs, so memory follows the
 // staged pages rather than the number of reads.
 func TestStagingFIFOStaysBounded(t *testing.T) {
-	const pages, chunk, budget = 8192, 8, 512
-	store := StoreConfig{BatchPages: 8, Readahead: ReadaheadConfig{Enabled: true, StagingPages: budget}}
+	const pages, chunk = 8192, 8
+	store := StoreConfig{BatchPages: 8, Readahead: ReadaheadConfig{Enabled: true}}
 	r := newStoreRig(t, store, 2, pages, pages)
 	for i := 0; i < pages; i++ {
 		r.ns.Write(r.client, uint32(i), nil)
@@ -380,7 +379,7 @@ func TestStagingFIFOStaysBounded(t *testing.T) {
 	if _, hits, _, _ := r.ns.PrefetchStats(); hits < pages/2 {
 		t.Fatalf("only %d staging hits over a %d-page sequential scan", hits, pages)
 	}
-	if longest > 2*budget {
-		t.Fatalf("staging FIFO reached %d entries, budget %d", longest, budget)
+	if longest > 2*stagingPages {
+		t.Fatalf("staging FIFO reached %d entries, budget %d", longest, stagingPages)
 	}
 }

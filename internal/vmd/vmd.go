@@ -21,10 +21,9 @@
 // servers, a crashed server's pages stay readable from the surviving
 // copies, and the pool re-replicates affected pages in the background. Pool
 // exhaustion degrades to a spill onto the writing host's local swap disk
-// (counted and traced; SetStrict restores the old panic for scenario
-// debugging). With EnableFaultTolerance armed, in-flight requests that a
-// crash, link outage or message loss swallowed are retried after a timeout
-// instead of hanging forever. All of this machinery is off by default: a
+// (counted and traced). With EnableFaultTolerance armed, in-flight
+// requests that a crash, link outage or message loss swallowed are retried
+// after a timeout instead of hanging forever. All of this machinery is off by default: a
 // fault-free run with K=1 executes the exact event sequence it always did.
 package vmd
 
@@ -72,10 +71,10 @@ type VMD struct {
 	servers    []*Server
 	namespaces []*Namespace
 	tr         *trace.Trace
+	em         *trace.Emitter // cluster-scope server crash/restart events
 	reg        *metrics.Registry
 
-	replicas int  // K for namespaces created afterwards (<=1: off)
-	strict   bool // pool exhaustion panics instead of spilling
+	replicas int // K for namespaces created afterwards (<=1: off)
 
 	ft        bool    // fault tolerance armed: time out and retry requests
 	ftTimeout float64 // seconds
@@ -136,11 +135,6 @@ func (v *VMD) SetReplicas(k int) {
 // Replicas returns the configured replication factor.
 func (v *VMD) Replicas() int { return v.replicas }
 
-// SetStrict restores the historical behavior of panicking when the pool is
-// exhausted, instead of spilling to the client's local disk — useful when
-// debugging a scenario that should never fill the pool.
-func (v *VMD) SetStrict(on bool) { v.strict = on }
-
 // EnableFaultTolerance arms request timeouts: a write or read whose server
 // does not respond within timeoutSec simulated seconds (crash, link outage,
 // lost message) is retried on the next candidate instead of hanging.
@@ -160,6 +154,7 @@ func (v *VMD) EnableFaultTolerance(timeoutSec float64) {
 // argument may be nil.
 func (v *VMD) SetObserver(tr *trace.Trace, reg *metrics.Registry) {
 	v.tr = tr
+	v.em = tr.Emitter(trace.ScopeCluster, "")
 	v.reg = reg
 	for _, s := range v.servers {
 		s.registerMetrics(reg)
@@ -345,7 +340,7 @@ func (s *Server) Crash() {
 	}
 	s.down = true
 	v := s.vmd
-	v.tr.Add(v.eng.NowSeconds(), trace.ServerCrash, "%s crashed (%d mem + %d disk pages lost)", s.name, s.used, s.diskUsed)
+	v.em.Emitf(v.eng.NowSeconds(), trace.ServerCrash, "%s crashed (%d mem + %d disk pages lost)", s.name, s.used, s.diskUsed)
 	s.used = 0
 	s.diskUsed = 0
 	for _, ns := range v.namespaces {
@@ -362,7 +357,7 @@ func (s *Server) Restart() {
 	}
 	s.down = false
 	v := s.vmd
-	v.tr.Add(v.eng.NowSeconds(), trace.ServerRestart, "%s restarted (empty)", s.name)
+	v.em.Emitf(v.eng.NowSeconds(), trace.ServerRestart, "%s restarted (empty)", s.name)
 	for _, ns := range v.namespaces {
 		ns.requeueUnderReplicated()
 	}
@@ -976,8 +971,7 @@ func (v *VMD) landRepair(ns *Namespace, off uint32, src, dst *Server) (landed, o
 // Overwrites go to the servers already holding the offset; new offsets go
 // to the next K servers in round-robin order whose gossiped capacity is
 // nonzero, falling back through NACK-and-retry when the hint was stale.
-// When the whole pool is full the page spills to the client's local disk
-// (or, in strict mode, panics as a scenario configuration error).
+// When the whole pool is full the page spills to the client's local disk.
 func (ns *Namespace) Write(c *Client, off uint32, fn func()) {
 	if !ns.clients[c] {
 		panic("vmd: write through unattached client " + c.name + " on namespace " + ns.name)

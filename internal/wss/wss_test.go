@@ -290,3 +290,28 @@ func TestTriggerWatermarkValidation(t *testing.T) {
 	NewTrigger(eng, TriggerConfig{HighWatermarkBytes: 1, LowWatermarkBytes: 2},
 		func() map[string]int64 { return nil }, func([]string) {})
 }
+
+// TestTrackerGrowthCappedAtVMMemory keeps every page of a small VM hot, so
+// the swap-in rate demands growth whenever the reservation is below the
+// VM's size: the β steps must stop at the VM's memory, never beyond it.
+func TestTrackerGrowthCappedAtVMMemory(t *testing.T) {
+	const vmBytes = 32 * mib
+	eng := sim.NewEngine(1)
+	tb := mem.NewTable(int(vmBytes / mem.PageSize))
+	g := cgroup.New(eng, "vm", tb, &hotBackend{eng: eng}, vmBytes/4)
+	workingSetSim(eng, g, tb.Len())
+	cfg := DefaultTrackerConfig()
+	cfg.MinReservationBytes = 4 * mib
+	NewTracker(eng, g, cfg)
+	var peak int64
+	eng.AddTickerFunc(sim.PhaseWorkload, func(sim.Time) {
+		peak = max(peak, g.ReservationBytes())
+	})
+	eng.RunSeconds(120)
+	if peak > vmBytes {
+		t.Fatalf("reservation grew to %d MiB, past the %d MiB VM", peak/mib, vmBytes/mib)
+	}
+	if peak != vmBytes {
+		t.Fatalf("reservation peaked at %d MiB; sustained pressure should drive it to the %d MiB cap", peak/mib, vmBytes/mib)
+	}
+}
