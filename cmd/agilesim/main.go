@@ -329,36 +329,15 @@ func main() {
 				fmt.Fprintf(os.Stderr, "agilesim: span store dropped %d newest spans; rerun with -trace-buf %d or larger\n",
 					d, tr.SpanCap()*2)
 			}
-			writeFile := func(path string, write func(f *os.File) error) {
-				f, err := os.Create(path)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "agilesim:", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := write(f); err != nil {
-					fmt.Fprintln(os.Stderr, "agilesim:", err)
-					os.Exit(1)
-				}
-			}
 			if *traceOut != "" {
-				writeFile(*traceOut, func(f *os.File) error { return trace.WriteChromeTrace(f, tr) })
+				writeNamedFile(*traceOut, func(f *os.File) error { return trace.WriteChromeTrace(f, tr) })
 			}
 			if *traceJSONL != "" {
-				writeFile(*traceJSONL, func(f *os.File) error { return trace.WriteJSONL(f, tr) })
+				writeNamedFile(*traceJSONL, func(f *os.File) error { return trace.WriteJSONL(f, tr) })
 			}
 		}
 		if reg != nil && *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "agilesim:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			if err := reg.WriteJSONL(f); err != nil {
-				fmt.Fprintln(os.Stderr, "agilesim:", err)
-				os.Exit(1)
-			}
+			writeNamedFile(*metricsOut, func(f *os.File) error { return reg.WriteJSONL(f) })
 		}
 		if ep != nil {
 			ep.holdAndClose(reg, *metricsHold)
@@ -376,18 +355,6 @@ func main() {
 		rep := experiments.RunFleet(opt)
 		experiments.PrintFleet(out, rep)
 
-		writeFile := func(path string, write func(f *os.File) error) {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "agilesim:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			if err := write(f); err != nil {
-				fmt.Fprintln(os.Stderr, "agilesim:", err)
-				os.Exit(1)
-			}
-		}
 		if csvOut != nil {
 			if err := experiments.WriteFleetCSV(csvOut, rep.Rows); err != nil {
 				fmt.Fprintln(os.Stderr, "agilesim: csv:", err)
@@ -396,7 +363,7 @@ func main() {
 		if *traceJSONL != "" {
 			// The canonical (T, scope, actor) merge of the per-cell rings
 			// and span stores: byte-identical at any -shards and GOMAXPROCS.
-			writeFile(*traceJSONL, func(f *os.File) error {
+			writeNamedFile(*traceJSONL, func(f *os.File) error {
 				return trace.WriteEventsSpansJSONL(f,
 					rep.Fleet.MergedTraceEvents(), rep.Fleet.MergedSpans(),
 					rep.Fleet.TraceDrops(), rep.Fleet.SpanDrops(), rep.Fleet.OpenSpans())
@@ -408,7 +375,7 @@ func main() {
 		if *metricsOut != "" {
 			// Per-cell registries concatenated in cell order, equally
 			// placement-independent.
-			writeFile(*metricsOut, func(f *os.File) error {
+			writeNamedFile(*metricsOut, func(f *os.File) error {
 				for i := 0; i < len(rep.Rows); i++ {
 					if err := rep.Fleet.CellRegistry(i).WriteJSONL(f); err != nil {
 						return err

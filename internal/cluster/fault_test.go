@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"reflect"
 	"testing"
 
 	"agilemig/internal/core"
@@ -9,47 +8,6 @@ import (
 	"agilemig/internal/sim"
 	"agilemig/internal/workload"
 )
-
-// runAgileScenario deploys the same loaded VM on the given config, runs the
-// same warmup and Agile migration, and returns the handle.
-func runAgileScenario(t *testing.T, cfg Config) *VMHandle {
-	t.Helper()
-	tb := New(cfg)
-	h := tb.DeployVM("vm1", 1*GiB, 512*MiB, true)
-	h.LoadDataset(768 * MiB)
-	wcfg := workload.YCSB()
-	wcfg.MaxOpsPerSecond = 3000
-	h.AttachClient(wcfg, dist.NewUniform(h.Store.Records()))
-	tb.RunSeconds(60)
-	if _, err := tb.Migrate(h, core.Agile, 512*MiB); err != nil {
-		t.Fatal(err)
-	}
-	if tb.RunUntilMigrated(h, 600) != OutcomeCompleted {
-		t.Fatal("migration did not complete")
-	}
-	tb.RunSeconds(10)
-	return h
-}
-
-func TestZeroFaultConfigEquivalence(t *testing.T) {
-	// An empty fault plan and replicas=1 must leave every observable
-	// number exactly as a config that never mentions faults: the fault
-	// machinery may not perturb healthy runs.
-	plain := runAgileScenario(t, smallConfig())
-
-	cfg := smallConfig()
-	cfg.Faults = &sim.FaultPlan{}
-	cfg.Replicas = 1
-	armed := runAgileScenario(t, cfg)
-
-	if !reflect.DeepEqual(*plain.Result, *armed.Result) {
-		t.Fatalf("results diverge:\nplain: %+v\narmed: %+v", *plain.Result, *armed.Result)
-	}
-	if plain.Client.OpsCompleted() != armed.Client.OpsCompleted() {
-		t.Fatalf("workload progress diverges: %d vs %d",
-			plain.Client.OpsCompleted(), armed.Client.OpsCompleted())
-	}
-}
 
 func TestAgileSurvivesVMDServerCrashWithReplicas(t *testing.T) {
 	cfg := smallConfig()

@@ -16,8 +16,8 @@ func benchFleetConfig(shards int) FleetConfig {
 }
 
 // BenchmarkShardedClusterTicksPerSecond runs the full 64-host evacuation
-// at 1/2/4/8 shards. The simulated work is fixed (and byte-identical — see
-// TestFleetShardEquivalence), so ticks/s across the sub-benchmarks is the
+// at 1/2/4/8 shards. The simulated work is fixed (and byte-identical — the
+// behaviour baseline's fleet shard cells diff it), so ticks/s across the sub-benchmarks is the
 // parallel kernel's wall-clock speedup. cell-ticks/s is the aggregate
 // simulation throughput (ticks × cells).
 func BenchmarkShardedClusterTicksPerSecond(b *testing.B) {

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -42,82 +40,6 @@ func TestFleetEvacuationCompletes(t *testing.T) {
 		if r.OpsAtComplete <= 0 || r.BytesTransferred <= 0 {
 			t.Fatalf("cell %s moved no work: %+v", r.Cell, r)
 		}
-	}
-}
-
-// fleetOutputs runs one fleet to completion and captures every observable
-// output: rows, the merged trace JSONL, and the per-cell metrics JSONL
-// concatenated in cell order.
-func fleetOutputs(t *testing.T, cfg FleetConfig, gomaxprocs int) ([]FleetRow, []byte, []byte) {
-	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gomaxprocs))
-	cfg.Observe = true
-	f := NewFleet(cfg)
-	if res := f.RunEvacuation(600); !res.Success() {
-		t.Fatalf("evacuation incomplete at %d shards", cfg.Shards)
-	}
-	rows := f.Rows()
-	var tj bytes.Buffer
-	if err := trace.WriteEventsJSONL(&tj, f.MergedTraceEvents(), f.TraceDrops()); err != nil {
-		t.Fatal(err)
-	}
-	var mj bytes.Buffer
-	for i := 0; i < cfg.Cells; i++ {
-		if err := f.CellRegistry(i).WriteJSONL(&mj); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return rows, tj.Bytes(), mj.Bytes()
-}
-
-// TestFleetShardEquivalence is the sharded kernel's core determinism
-// claim, on a workload that genuinely spreads across shards: the same seed
-// yields byte-identical rows, merged traces and metrics at every
-// (shard count, GOMAXPROCS) combination.
-func TestFleetShardEquivalence(t *testing.T) {
-	const cells = 6
-	refRows, refTrace, refMetrics := fleetOutputs(t, testFleetConfig(cells, 1), 1)
-	if len(refTrace) == 0 || len(refMetrics) == 0 {
-		t.Fatalf("reference run produced no observability output")
-	}
-	for _, tc := range []struct{ shards, procs int }{
-		{1, 8}, {2, 2}, {3, 1}, {3, 8}, {4, 2}, {6, 8},
-	} {
-		rows, tr, mr := fleetOutputs(t, testFleetConfig(cells, tc.shards), tc.procs)
-		for i := range rows {
-			if rows[i] != refRows[i] {
-				t.Errorf("shards=%d procs=%d: row %d diverged:\n got %+v\nwant %+v",
-					tc.shards, tc.procs, i, rows[i], refRows[i])
-			}
-		}
-		if !bytes.Equal(tr, refTrace) {
-			t.Errorf("shards=%d procs=%d: merged trace JSONL diverged (%d vs %d bytes)",
-				tc.shards, tc.procs, len(tr), len(refTrace))
-		}
-		if !bytes.Equal(mr, refMetrics) {
-			t.Errorf("shards=%d procs=%d: metrics JSONL diverged (%d vs %d bytes)",
-				tc.shards, tc.procs, len(mr), len(refMetrics))
-		}
-	}
-}
-
-// TestFleetFastForwardEquivalence: every cell runs on its own engine and
-// so skips its own idle spans; the outputs must match a tick-by-tick run.
-func TestFleetFastForwardEquivalence(t *testing.T) {
-	cfg := testFleetConfig(6, 2)
-	rows, tr, mr := fleetOutputs(t, cfg, 2)
-	cfg.DisableFastForward = true
-	refRows, refTrace, refMetrics := fleetOutputs(t, cfg, 2)
-	for i := range rows {
-		if rows[i] != refRows[i] {
-			t.Errorf("row %d diverged with fast-forward on:\n got %+v\nwant %+v", i, rows[i], refRows[i])
-		}
-	}
-	if !bytes.Equal(tr, refTrace) {
-		t.Errorf("merged trace JSONL diverged with fast-forward on (%d vs %d bytes)", len(tr), len(refTrace))
-	}
-	if !bytes.Equal(mr, refMetrics) {
-		t.Errorf("metrics JSONL diverged with fast-forward on (%d vs %d bytes)", len(mr), len(refMetrics))
 	}
 }
 

@@ -259,33 +259,20 @@ func runDrainPolicy(opt DrainOptions, pol ctlplane.PlacementPolicy) DrainPolicyR
 // deterministically reports an aborted, reasoned row instead of wedging
 // the fleet.
 func runDrainRack(opt DrainOptions) FleetReport {
-	cfg := cluster.DefaultFleetConfig()
-	cfg.Cells = opt.RackCells
-	if opt.Shards > 0 {
-		cfg.Shards = opt.Shards
-	}
-	cfg.Seed = opt.Seed
-	cfg.HostRAMBytes = scaleBytes(cfg.HostRAMBytes, opt.Scale)
-	cfg.VMMemBytes = scaleBytes(cfg.VMMemBytes, opt.Scale)
-	cfg.DatasetBytes = scaleBytes(cfg.DatasetBytes, opt.Scale)
-	cfg.ReservationBytes = scaleBytes(cfg.ReservationBytes, opt.Scale)
-	cfg.IntermediateRAMBytes = scaleBytes(cfg.IntermediateRAMBytes, opt.Scale)
-	cfg.WarmupSeconds = scaleSeconds(cfg.WarmupSeconds, opt.Scale)
-	cfg.MigrationTimeoutSeconds = 20
-	if cfg.Cells > 1 {
-		// Fault only cell 1: link down one second before the start
-		// commands, up long after the watchdog fires.
-		cfg.Faults = (&sim.FaultPlan{}).LinkFlap("source", cfg.WarmupSeconds-1, cfg.MigrationTimeoutSeconds+60)
-		cfg.FaultCells = []int{1}
-	}
-	f := cluster.NewFleet(cfg)
-	res := f.RunEvacuation(600)
-	return FleetReport{
-		Rows:       f.Rows(),
-		Result:     res,
-		SimSeconds: f.Group.Engine(0).NowSeconds(),
-		Fleet:      f,
-	}
+	return runScaledFleet(opt.Scale, 600, func(cfg *cluster.FleetConfig) {
+		cfg.Cells = opt.RackCells
+		if opt.Shards > 0 {
+			cfg.Shards = opt.Shards
+		}
+		cfg.Seed = opt.Seed
+		cfg.MigrationTimeoutSeconds = 20
+		if cfg.Cells > 1 {
+			// Fault only cell 1: link down one second before the start
+			// commands, up long after the watchdog fires.
+			cfg.Faults = (&sim.FaultPlan{}).LinkFlap("source", cfg.WarmupSeconds-1, cfg.MigrationTimeoutSeconds+60)
+			cfg.FaultCells = []int{1}
+		}
+	})
 }
 
 // PrintDrain renders the per-policy comparison table, the per-migration

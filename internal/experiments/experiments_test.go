@@ -21,6 +21,7 @@ func shortScale(normal, short float64) float64 {
 }
 
 func TestPressureTimelineShapes(t *testing.T) {
+	t.Parallel()
 	results := map[core.Technique]*PressureResult{}
 	for _, tech := range []core.Technique{core.PreCopy, core.PostCopy, core.Agile} {
 		cfg := DefaultPressureConfig(tech)
@@ -324,6 +325,7 @@ func TestAgilePressureSmallScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a minute under -race; CI runs it in its own step without -race")
 	}
+	t.Parallel()
 	for _, scale := range []float64{0.005, 0.0075} {
 		cfg := DefaultPressureConfig(core.Agile)
 		cfg.Scale = scale

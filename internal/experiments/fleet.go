@@ -50,8 +50,8 @@ type FleetReport struct {
 }
 
 // RunFleet builds and runs the evacuation. Results are byte-identical at
-// any Shards value and GOMAXPROCS, which TestFleetShardEquivalence and the
-// CI matrix both diff.
+// any Shards value and GOMAXPROCS, which the behaviour baseline's shard
+// cells and the CI matrix both diff.
 func RunFleet(opt FleetOptions) FleetReport {
 	if opt.Scale <= 0 {
 		opt.Scale = 1
@@ -59,26 +59,35 @@ func RunFleet(opt FleetOptions) FleetReport {
 	if opt.MaxSeconds <= 0 {
 		opt.MaxSeconds = 600
 	}
+	return runScaledFleet(opt.Scale, opt.MaxSeconds, func(cfg *cluster.FleetConfig) {
+		if opt.Cells > 0 {
+			cfg.Cells = opt.Cells
+		}
+		if opt.Shards > 0 {
+			cfg.Shards = opt.Shards
+		}
+		cfg.Seed = opt.Seed
+		cfg.Observe = opt.Observe
+		cfg.TraceCapacity = opt.TraceCapacity
+		cfg.DisableFastForward = opt.DisableFastForward
+	})
+}
+
+// runScaledFleet runs an evacuation of cluster.DefaultFleetConfig with its
+// memory sizes and warmup multiplied by scale; set fills in the caller's
+// remaining fields before the fleet is built.
+func runScaledFleet(scale, maxSeconds float64, set func(cfg *cluster.FleetConfig)) FleetReport {
 	cfg := cluster.DefaultFleetConfig()
-	if opt.Cells > 0 {
-		cfg.Cells = opt.Cells
-	}
-	if opt.Shards > 0 {
-		cfg.Shards = opt.Shards
-	}
-	cfg.Seed = opt.Seed
-	cfg.HostRAMBytes = scaleBytes(cfg.HostRAMBytes, opt.Scale)
-	cfg.VMMemBytes = scaleBytes(cfg.VMMemBytes, opt.Scale)
-	cfg.DatasetBytes = scaleBytes(cfg.DatasetBytes, opt.Scale)
-	cfg.ReservationBytes = scaleBytes(cfg.ReservationBytes, opt.Scale)
-	cfg.IntermediateRAMBytes = scaleBytes(cfg.IntermediateRAMBytes, opt.Scale)
-	cfg.WarmupSeconds = scaleSeconds(cfg.WarmupSeconds, opt.Scale)
-	cfg.Observe = opt.Observe
-	cfg.TraceCapacity = opt.TraceCapacity
-	cfg.DisableFastForward = opt.DisableFastForward
+	cfg.HostRAMBytes = scaleBytes(cfg.HostRAMBytes, scale)
+	cfg.VMMemBytes = scaleBytes(cfg.VMMemBytes, scale)
+	cfg.DatasetBytes = scaleBytes(cfg.DatasetBytes, scale)
+	cfg.ReservationBytes = scaleBytes(cfg.ReservationBytes, scale)
+	cfg.IntermediateRAMBytes = scaleBytes(cfg.IntermediateRAMBytes, scale)
+	cfg.WarmupSeconds = scaleSeconds(cfg.WarmupSeconds, scale)
+	set(&cfg)
 
 	f := cluster.NewFleet(cfg)
-	res := f.RunEvacuation(opt.MaxSeconds)
+	res := f.RunEvacuation(maxSeconds)
 	return FleetReport{
 		Rows:       f.Rows(),
 		Result:     res,

@@ -114,37 +114,14 @@ func RunPressureTimeline(cfg PressureConfig) *PressureResult {
 	}
 
 	res := &PressureResult{Technique: cfg.Technique}
-	// Sample each client's rate and the average across VMs once per
-	// (scaled) second.
-	interval := scaleSeconds(1, s)
-	base := tb.Eng.NowSeconds()
-	var counters []func() float64
+	// Sample each client's completed-op count once per (scaled) second;
+	// the rates are derived after the run.
+	reg := metrics.NewRegistry()
 	for i, h := range handles {
-		h := h
-		series := metrics.NewSeries(fmt.Sprintf("vm%d.ops", i+1))
-		res.PerVM = append(res.PerVM, series)
-		metrics.SampleRate(tb.Eng, interval, series, func() float64 {
-			return float64(h.Client.OpsCompleted())
-		})
-		counters = append(counters, func() float64 { return float64(h.Client.OpsCompleted()) })
+		reg.Gauge(fmt.Sprintf("vm%d.ops", i+1), func() float64 { return float64(h.Client.OpsCompleted()) })
 	}
-	res.AvgThroughput = metrics.NewSeries("avg.ops")
-	var lastTotal float64
-	lastT := base
-	metrics.Sample(tb.Eng, interval, res.AvgThroughput, func() float64 {
-		var total float64
-		for _, c := range counters {
-			total += c()
-		}
-		now := tb.Eng.NowSeconds()
-		dt := now - lastT
-		rate := 0.0
-		if dt > 0 {
-			rate = (total - lastTotal) / dt / PaperNumVMs
-		}
-		lastTotal, lastT = total, now
-		return rate
-	})
+	base := tb.Eng.NowSeconds()
+	reg.StartSampling(tb.Eng, scaleSeconds(1, s))
 
 	// Settle: let load-time reclaim push cold pages out.
 	tb.RunSeconds(scaleSeconds(cfg.SettleSeconds, s))
@@ -194,6 +171,23 @@ func RunPressureTimeline(cfg PressureConfig) *PressureResult {
 	} else if victim.Migration != nil {
 		// Still running at the end of the window; report what we have.
 		res.Migration = victim.Migration.Result()
+	}
+
+	// The average across VMs is the rate of the VM-order total.
+	total := metrics.NewSeries("avg.ops")
+	for i := 0; i < PaperNumVMs; i++ {
+		cum := reg.SeriesFor(fmt.Sprintf("vm%d.ops", i+1))
+		res.PerVM = append(res.PerVM, metrics.Rate(cum, base))
+		for j, p := range cum.Points {
+			if i == 0 {
+				total.Add(p.T, 0)
+			}
+			total.Points[j].V += p.V
+		}
+	}
+	res.AvgThroughput = metrics.Rate(total, base)
+	for j := range res.AvgThroughput.Points {
+		res.AvgThroughput.Points[j].V /= PaperNumVMs
 	}
 
 	res.PeakOps = res.AvgThroughput.MaxSmoothed(5)

@@ -71,22 +71,20 @@ func RunWSSTracking(cfg WSSTrackConfig) *WSSTrackResult {
 	ccfg := ycsbClient()
 	h.AttachClient(ccfg, dist.NewUniform(h.Store.Records()))
 
-	res := &WSSTrackResult{
-		Reservation: metrics.NewSeries("reservation.mb"),
-		ResidentMB:  metrics.NewSeries("resident.mb"),
-		Throughput:  metrics.NewSeries("ycsb.ops"),
-		DatasetMB:   float64(dataset) / float64(cluster.MiB),
-	}
-	interval := scaleSeconds(2, s)
-	metrics.Sample(tb.Eng, interval, res.Reservation, func() float64 {
+	// Sample the reservation, the resident footprint and the client's
+	// completed-op count; the throughput rate is derived after the run.
+	reg := metrics.NewRegistry()
+	reg.Gauge("reservation.mb", func() float64 {
 		return float64(h.VM.Group().ReservationBytes()) / float64(cluster.MiB)
 	})
-	metrics.Sample(tb.Eng, interval, res.ResidentMB, func() float64 {
+	reg.Gauge("resident.mb", func() float64 {
 		return mem.PagesToMiB(h.VM.Table().InRAM())
 	})
-	metrics.SampleRate(tb.Eng, interval, res.Throughput, func() float64 {
+	reg.Gauge("ycsb.ops", func() float64 {
 		return float64(h.Client.OpsCompleted())
 	})
+	base := tb.Eng.NowSeconds()
+	reg.StartSampling(tb.Eng, scaleSeconds(2, s))
 
 	// Warm the working set before tracking begins.
 	tb.RunSeconds(scaleSeconds(60, s))
@@ -100,6 +98,12 @@ func RunWSSTracking(cfg WSSTrackConfig) *WSSTrackResult {
 
 	tb.RunSeconds(scaleSeconds(cfg.Duration, s))
 
+	res := &WSSTrackResult{
+		Reservation: reg.SeriesFor("reservation.mb"),
+		ResidentMB:  reg.SeriesFor("resident.mb"),
+		Throughput:  metrics.Rate(reg.SeriesFor("ycsb.ops"), base),
+		DatasetMB:   float64(dataset) / float64(cluster.MiB),
+	}
 	res.FinalReservationMB = float64(tracker.EstimateBytes()) / float64(cluster.MiB)
 	res.Stable = tracker.Stable()
 	res.PeakThroughput = res.Throughput.MaxSmoothed(5)

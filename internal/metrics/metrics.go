@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"agilemig/internal/sim"
 )
 
 // Point is one sample: simulated time in seconds and a value.
@@ -168,67 +166,18 @@ func RecoveryTime(s *Series, fromT, target float64, smoothWindow, sustain int) (
 	return 0, false
 }
 
-// Sampler periodically samples a value function into a series. Register it
-// once per series; it runs in sim.PhaseMetrics.
-type Sampler struct {
-	eng      *sim.Engine
-	interval sim.Duration
-	next     sim.Time
-	series   *Series
-	fn       func() float64
-}
-
-// Sample registers a sampler that records fn() into series every
-// intervalSeconds of simulated time.
-func Sample(eng *sim.Engine, intervalSeconds float64, series *Series, fn func() float64) *Sampler {
-	s := &Sampler{
-		eng:      eng,
-		interval: eng.SecondsToTicks(intervalSeconds),
-		series:   series,
-		fn:       fn,
+// Rate returns the per-second rate of a cumulative series sampled since
+// t0: point i is (v[i]-v[i-1])/(t[i]-t[i-1]), the first taken from (t0, 0).
+// Sample times must be strictly increasing and after t0, as a Registry
+// sampler started at t0 records them.
+func Rate(cum *Series, t0 float64) *Series {
+	out := &Series{Name: cum.Name, Points: make([]Point, len(cum.Points))}
+	last, lastT := 0.0, t0
+	for i, p := range cum.Points {
+		out.Points[i] = Point{T: p.T, V: (p.V - last) / (p.T - lastT)}
+		last, lastT = p.V, p.T
 	}
-	if s.interval < 1 {
-		s.interval = 1
-	}
-	s.next = eng.Now() + sim.Time(s.interval)
-	eng.AddTicker(sim.PhaseMetrics, s)
-	return s
-}
-
-// Tick records a sample when the interval elapses.
-func (s *Sampler) Tick(now sim.Time) {
-	if now < s.next {
-		return
-	}
-	s.next = now + sim.Time(s.interval)
-	s.series.Add(s.eng.NowSeconds(), s.fn())
-}
-
-// NextWake reports the sampler's next sampling tick; every tick before it
-// is an exact no-op, so the engine may skip ahead to it.
-func (s *Sampler) NextWake(now sim.Time) (sim.Time, bool) {
-	if s.next <= now {
-		return now + 1, true
-	}
-	return s.next, true
-}
-
-// SampleRate registers a sampler that records the per-second rate of a
-// cumulative counter (e.g. completed operations) every intervalSeconds.
-func SampleRate(eng *sim.Engine, intervalSeconds float64, series *Series, counter func() float64) *Sampler {
-	var last float64
-	var lastT = eng.NowSeconds()
-	return Sample(eng, intervalSeconds, series, func() float64 {
-		cur := counter()
-		now := eng.NowSeconds()
-		dt := now - lastT
-		if dt <= 0 {
-			return 0
-		}
-		rate := (cur - last) / dt
-		last, lastT = cur, now
-		return rate
-	})
+	return out
 }
 
 // FormatBytes renders a byte count in binary units.

@@ -163,11 +163,13 @@ func TestRecoveryTimeSustainRejectsBlip(t *testing.T) {
 
 func TestSamplerInterval(t *testing.T) {
 	eng := sim.NewEngine(1)
-	s := NewSeries("v")
+	r := NewRegistry()
 	n := 0.0
-	Sample(eng, 0.1, s, func() float64 { n++; return n })
+	r.Gauge("v", func() float64 { n++; return n })
+	r.StartSampling(eng, 0.1)
 	eng.RunSeconds(1.0)
 	// 1 second at 100ms interval = 10 samples.
+	s := r.SeriesFor("v")
 	if s.Len() != 10 {
 		t.Fatalf("sampled %d times, want 10", s.Len())
 	}
@@ -178,17 +180,28 @@ func TestSamplerInterval(t *testing.T) {
 
 func TestSampleRate(t *testing.T) {
 	eng := sim.NewEngine(1)
-	s := NewSeries("rate")
+	r := NewRegistry()
 	var counter float64
 	eng.AddTickerFunc(sim.PhaseWorkload, func(sim.Time) { counter += 5 }) // 5 per tick = 5000/s
-	SampleRate(eng, 0.5, s, func() float64 { return counter })
+	r.Gauge("ops", func() float64 { return counter })
+	r.StartSampling(eng, 0.5)
 	eng.RunSeconds(2.0)
-	if s.Len() != 4 {
-		t.Fatalf("%d samples", s.Len())
+	s := Rate(r.SeriesFor("ops"), 0)
+	if s.Len() != 4 || s.Name != "ops" {
+		t.Fatalf("%d samples named %q", s.Len(), s.Name)
 	}
 	for _, p := range s.Points {
 		if math.Abs(p.V-5000) > 50 {
 			t.Fatalf("rate %v, want ~5000", p.V)
+		}
+	}
+	// Exact arithmetic: the first rate is taken from (t0, 0), each next
+	// one from the previous sample.
+	cum := &Series{Name: "c", Points: []Point{{2, 10}, {4, 30}, {5, 41}}}
+	want := []Point{{2, 10}, {4, 10}, {5, 11}}
+	for i, p := range Rate(cum, 1).Points {
+		if p != want[i] {
+			t.Fatalf("point %d = %+v, want %+v", i, p, want[i])
 		}
 	}
 }
@@ -294,13 +307,15 @@ func TestMaxSmoothedDampensSpike(t *testing.T) {
 func TestSamplerStartsMidRun(t *testing.T) {
 	eng := sim.NewEngine(1)
 	eng.RunSeconds(5)
-	s := NewSeries("late")
-	Sample(eng, 1, s, func() float64 { return 1 })
+	r := NewRegistry()
+	r.Gauge("late", func() float64 { return 1 })
+	r.StartSampling(eng, 1)
 	eng.RunSeconds(3)
+	s := r.SeriesFor("late")
 	if s.Len() != 3 {
-		t.Fatalf("%d samples from a late-registered sampler", s.Len())
+		t.Fatalf("%d samples from a late-started sampler", s.Len())
 	}
 	if s.Points[0].T < 5.9 {
-		t.Fatalf("first sample at %v predates registration", s.Points[0].T)
+		t.Fatalf("first sample at %v predates the start", s.Points[0].T)
 	}
 }

@@ -109,8 +109,8 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // WriteSeriesCSV writes one or more series sharing a time axis as CSV with
 // a "t" column followed by one column per series. Series are sampled on
 // their own timestamps; rows are emitted per timestamp of the first series,
-// with other series matched by index (the samplers in this package produce
-// aligned series).
+// with other series matched by index (series sampled by one Registry, and
+// rates derived from them, are aligned).
 func WriteSeriesCSV(w io.Writer, series ...*Series) error {
 	if len(series) == 0 {
 		return nil

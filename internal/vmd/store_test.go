@@ -28,6 +28,18 @@ func newStoreRig(t *testing.T, store StoreConfig, nServers int, capPages int64, 
 	return &rig{eng: eng, net: net, v: v, servers: servers, client: client, ns: ns}
 }
 
+// TestZeroStoreConfigIsV1 pins the store's identity setting: the zero
+// StoreConfig and the explicit v1 spelling (single-page batches, round-robin
+// placement) normalise to the same value, so every store code path sees one
+// configuration and the v1 event sequence replays byte for byte.
+func TestZeroStoreConfigIsV1(t *testing.T) {
+	zero := StoreConfig{}.withDefaults()
+	v1 := StoreConfig{BatchPages: 1, Placement: PlaceRoundRobin}.withDefaults()
+	if zero != v1 {
+		t.Fatalf("zero config normalises to %+v, the v1 spelling to %+v", zero, v1)
+	}
+}
+
 func TestConfigureAfterBuildPanics(t *testing.T) {
 	r := newRig(t, 1, 100, 10)
 	defer func() {
