@@ -477,8 +477,7 @@ func main() {
 	case "demo", "trace":
 		runDemo()
 	case "report":
-		report.Generate(out, report.Options{Scale: *scale, Seed: *seed, Parallelism: *parallel,
-			Pressure: true, Sweep: true, Tables: true, WSS: true, Ablation: true})
+		report.Generate(out, report.Options{Scale: *scale, Seed: *seed, Parallelism: *parallel})
 	case "all":
 		// The three pressure timelines are independent scenarios: run them
 		// through the fan-out harness, then print in figure order.

@@ -22,9 +22,9 @@ const (
 // String names the workload as the paper's tables do.
 func (k WorkloadKind) String() string {
 	if k == WorkloadSysbench {
-		return "Sysbench (Trans/s)"
+		return "Sysbench"
 	}
-	return "YCSB/Redis (Ops/s)"
+	return "YCSB/Redis"
 }
 
 // AppPerfConfig shapes one Tables I-III cell: 4 VMs under memory pressure,
@@ -168,11 +168,13 @@ func PrintAppPerfTables(w io.Writer, results []*AppPerfResult) {
 		return nil
 	}
 	techs := []core.Technique{core.PreCopy, core.PostCopy, core.Agile}
-	printTable := func(title string, value func(*AppPerfResult) string) {
+	// Only Table I's rows carry a unit: Tables II and III state theirs in
+	// the title.
+	printTable := func(title string, units map[WorkloadKind]string, value func(*AppPerfResult) string) {
 		fmt.Fprintln(w, title)
 		fmt.Fprintf(w, "%-22s%12s%12s%12s\n", "", "Pre-copy", "Post-copy", "Agile")
 		for _, wk := range []WorkloadKind{WorkloadYCSB, WorkloadSysbench} {
-			fmt.Fprintf(w, "%-22s", wk)
+			fmt.Fprintf(w, "%-22s", wk.String()+units[wk])
 			for _, tech := range techs {
 				v := "-"
 				if r := cell(wk, tech); r != nil {
@@ -184,10 +186,12 @@ func PrintAppPerfTables(w io.Writer, results []*AppPerfResult) {
 		}
 		fmt.Fprintln(w)
 	}
-	printTable("Table I: average application performance across all 4 VMs", func(r *AppPerfResult) string {
+	printTable("Table I: average application performance across all 4 VMs", map[WorkloadKind]string{
+		WorkloadYCSB: " (Ops/s)", WorkloadSysbench: " (Trans/s)",
+	}, func(r *AppPerfResult) string {
 		return fmt.Sprintf("%.2f", r.AvgOpsPerSec)
 	})
-	printTable("Table II: total migration time (seconds)", func(r *AppPerfResult) string {
+	printTable("Table II: total migration time (seconds)", nil, func(r *AppPerfResult) string {
 		if r.Migration == nil {
 			return "-"
 		}
@@ -199,7 +203,7 @@ func PrintAppPerfTables(w io.Writer, results []*AppPerfResult) {
 		}
 		return fmt.Sprintf("%.2f", r.Migration.TotalSeconds)
 	})
-	printTable("Table III: amount of data transferred (MB)", func(r *AppPerfResult) string {
+	printTable("Table III: amount of data transferred (MB)", nil, func(r *AppPerfResult) string {
 		if r.Migration == nil {
 			return "-"
 		}

@@ -15,12 +15,10 @@ import (
 // time (Fig. 7) and data transferred (Fig. 8) are recorded per technique.
 type SizeSweepConfig struct {
 	// VMSizes in bytes (pre-scale). Defaults to the paper's 2..12 GB.
-	VMSizes    []int64
-	Techniques []core.Technique
-	Busy       bool // also run the busy-VM variant
-	Idle       bool // also run the idle-VM variant
-	Scale      float64
-	Seed       uint64
+	VMSizes []int64
+	Idle    bool // also run the idle-VM variant; the busy variant always runs
+	Scale   float64
+	Seed    uint64
 	// TimeoutSeconds bounds each individual migration (scaled).
 	TimeoutSeconds float64
 	// Parallelism caps the worker count for fanning sweep points across
@@ -42,8 +40,6 @@ func DefaultSizeSweepConfig() SizeSweepConfig {
 	}
 	return SizeSweepConfig{
 		VMSizes:        sizes,
-		Techniques:     []core.Technique{core.PreCopy, core.PostCopy, core.Agile},
-		Busy:           true,
 		Idle:           true,
 		Scale:          1.0,
 		Seed:           1,
@@ -78,12 +74,9 @@ func RunSizeSweep(cfg SizeSweepConfig) []SizeSweepRow {
 	if s <= 0 {
 		s = 1
 	}
-	variants := []bool{}
+	variants := []bool{true}
 	if cfg.Idle {
-		variants = append(variants, false)
-	}
-	if cfg.Busy {
-		variants = append(variants, true)
+		variants = []bool{false, true}
 	}
 	type point struct {
 		tech core.Technique
@@ -91,7 +84,7 @@ func RunSizeSweep(cfg SizeSweepConfig) []SizeSweepRow {
 		size int64
 	}
 	var points []point
-	for _, tech := range cfg.Techniques {
+	for _, tech := range []core.Technique{core.PreCopy, core.PostCopy, core.Agile} {
 		for _, busy := range variants {
 			for _, size := range cfg.VMSizes {
 				points = append(points, point{tech, busy, size})
