@@ -71,7 +71,8 @@ type Device struct {
 
 	streams  []*Stream
 	rotation []*Stream // streams repeated by weight; the RR service order
-	rr       int
+	rr       int       // next rotation slot, in [0, len(rotation))
+	queued   int       // requests waiting or in service on every stream
 	def      *Stream
 	iopsCred float64
 
@@ -154,6 +155,7 @@ func (s *Stream) submit(write bool, bytes int64, fn func()) {
 		panic("blockdev: non-positive request size")
 	}
 	r := request{write: write, remaining: bytes, fn: fn}
+	s.dev.queued++
 	if write {
 		s.wq.push(r)
 	} else {
@@ -166,13 +168,7 @@ func (s *Stream) QueueLen() int { return s.rq.len() + s.wq.len() }
 
 // QueueLen returns the number of requests waiting or in service across all
 // streams.
-func (d *Device) QueueLen() int {
-	n := 0
-	for _, s := range d.streams {
-		n += s.QueueLen()
-	}
-	return n
-}
+func (d *Device) QueueLen() int { return d.queued }
 
 // BytesRead returns cumulative bytes read.
 func (d *Device) BytesRead() int64 { return d.bytesRead }
@@ -206,7 +202,10 @@ func (d *Device) RegisterMetrics(reg *metrics.Registry) {
 func (d *Device) Tick(_ sim.Time) {
 	budget := d.bytesPerTick
 	d.iopsCred += d.iopsPerTick
-	if len(d.rotation) == 0 {
+	if d.queued == 0 {
+		// Both service passes of an idle device would find every queue
+		// empty and rewind the rotation cursor: only the credit moves.
+		d.capCredit()
 		return
 	}
 	writesWaiting := false
@@ -224,8 +223,12 @@ func (d *Device) Tick(_ sim.Time) {
 	}
 	spentR := d.serve(budget-spentW, false)
 	d.serve(budget-spentW-spentR, true)
-	// Cap accumulated IOPS credit so an idle period doesn't bank an
-	// unbounded burst.
+	d.capCredit()
+}
+
+// capCredit caps accumulated IOPS credit so an idle period doesn't bank an
+// unbounded burst.
+func (d *Device) capCredit() {
 	if d.iopsCred > 4*d.iopsPerTick+4 {
 		d.iopsCred = 4*d.iopsPerTick + 4
 	}
@@ -239,7 +242,7 @@ func (d *Device) Tick(_ sim.Time) {
 // may skip ahead. In-flight completion callbacks ride the engine's event
 // queue and need no wake here.
 func (d *Device) NextWake(now sim.Time) (sim.Time, bool) {
-	if d.QueueLen() > 0 {
+	if d.queued > 0 {
 		return now + 1, true
 	}
 	if d.iopsCred < 4*d.iopsPerTick+4 {
@@ -271,8 +274,10 @@ func (d *Device) servePass(budget int64, writes bool) int64 {
 	remaining := budget
 	emptyRun := 0
 	for remaining > 0 && emptyRun < n {
-		s := d.rotation[d.rr%n]
-		d.rr++
+		s := d.rotation[d.rr]
+		if d.rr++; d.rr == n {
+			d.rr = 0
+		}
 		q := &s.rq
 		if writes {
 			q = &s.wq
@@ -326,6 +331,7 @@ func (d *Device) servePass(budget int64, writes bool) int64 {
 				}
 			}
 			q.pop()
+			d.queued--
 		}
 	}
 	return budget - remaining

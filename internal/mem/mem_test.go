@@ -118,6 +118,59 @@ func TestSwapOffsetRoundTrip(t *testing.T) {
 	}
 }
 
+func TestSwapOffsetNeverSetIsIdentity(t *testing.T) {
+	tb := NewTable(8)
+	for p := PageID(0); p < 8; p++ {
+		if got := tb.SwapOffset(p); got != uint32(p) {
+			t.Fatalf("never-set page %d reads slot %d", p, got)
+		}
+	}
+}
+
+func TestSwapOffsetIdentitySetsAllocateNothing(t *testing.T) {
+	tb := NewTable(1024)
+	p := PageID(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		tb.SetSwapOffset(p, uint32(p))
+		p = (p + 1) % 1024
+	})
+	if allocs != 0 {
+		t.Fatalf("identity SetSwapOffset allocated %.1f times per call", allocs)
+	}
+	if tb.swapOff != nil {
+		t.Fatal("identity sets materialised the slot array")
+	}
+}
+
+func TestSwapOffsetFirstForeignSlotKeepsIdentities(t *testing.T) {
+	tb := NewTable(8)
+	tb.SetSwapOffset(1, 1)
+	tb.SetSwapOffset(2, 2)
+	tb.SetSwapOffset(5, 40)
+	for p := PageID(0); p < 8; p++ {
+		want := uint32(p)
+		if p == 5 {
+			want = 40
+		}
+		if got := tb.SwapOffset(p); got != want {
+			t.Fatalf("page %d reads slot %d, want %d", p, got, want)
+		}
+	}
+}
+
+func TestSwapOffsetBackToIdentityRoundTrips(t *testing.T) {
+	tb := NewTable(8)
+	tb.SetSwapOffset(3, 70)
+	tb.SetSwapOffset(3, 3)
+	if got := tb.SwapOffset(3); got != 3 {
+		t.Fatalf("page 3 reads slot %d after resetting it to identity", got)
+	}
+	tb.SetSwapOffset(3, 71)
+	if got := tb.SwapOffset(3); got != 71 {
+		t.Fatalf("page 3 reads slot %d, want 71", got)
+	}
+}
+
 func TestStatePredicates(t *testing.T) {
 	cases := []struct {
 		s     PageState

@@ -88,7 +88,11 @@ const (
 // /proc/pid/pagemap in the paper: migration managers consult it to learn
 // whether a page is swapped out and at which offset.
 type Table struct {
-	bits    []uint8
+	bits []uint8
+	// swapOff holds each page's swap slot once some page sits at a slot
+	// other than its own number; until then it is nil and every page's
+	// slot is implicitly its identity, as on a per-VM swap device (VMD
+	// namespace) where offset o holds page o.
 	swapOff []uint32
 
 	inRAM    int // Resident + Evicting + Faulting
@@ -102,10 +106,7 @@ func NewTable(n int) *Table {
 	if n <= 0 {
 		panic("mem: table with no pages")
 	}
-	return &Table{
-		bits:    make([]uint8, n),
-		swapOff: make([]uint32, n),
-	}
+	return &Table{bits: make([]uint8, n)}
 }
 
 // Len returns the number of pages.
@@ -221,11 +222,31 @@ func (t *Table) ClearReferenced(p PageID) { t.bits[p] &^= flagReference }
 
 // SwapOffset returns the page's offset (in pages) on its swap device. The
 // value is meaningful only while State(p).OnSwap() or the page is Evicting
-// with an assigned slot.
-func (t *Table) SwapOffset(p PageID) uint32 { return t.swapOff[p] }
+// with an assigned slot; every caller reads it only then. A page whose
+// slot was never set reads its own number, the identity slot of a per-VM
+// swap device.
+func (t *Table) SwapOffset(p PageID) uint32 {
+	if t.swapOff == nil {
+		return uint32(p)
+	}
+	return t.swapOff[p]
+}
 
-// SetSwapOffset records the page's slot on its swap device.
-func (t *Table) SetSwapOffset(p PageID, off uint32) { t.swapOff[p] = off }
+// SetSwapOffset records the page's slot on its swap device. Identity slots
+// cost nothing until the first page lands elsewhere (a slot from a shared
+// partition's allocator), which materialises the per-page array.
+func (t *Table) SetSwapOffset(p PageID, off uint32) {
+	if t.swapOff == nil {
+		if off == uint32(p) {
+			return
+		}
+		t.swapOff = make([]uint32, len(t.bits))
+		for i := range t.swapOff {
+			t.swapOff[i] = uint32(i)
+		}
+	}
+	t.swapOff[p] = off
+}
 
 // ForEach calls fn for every page, in ascending order.
 func (t *Table) ForEach(fn func(p PageID, s PageState)) {

@@ -31,7 +31,7 @@ const virtualNodes = 16
 
 type ringPoint struct {
 	hash uint64
-	srv  int16
+	srv  srvIdx
 }
 
 // mix64 is a splitmix64-style finalizer: a cheap, high-quality 64-bit
@@ -72,7 +72,7 @@ func (ns *Namespace) pageKey(off uint32) uint64 {
 
 // ringWalk calls visit for each distinct server met walking clockwise from
 // key, stopping when visit returns true.
-func (v *VMD) ringWalk(key uint64, visit func(idx int16) bool) {
+func (v *VMD) ringWalk(key uint64, visit func(idx srvIdx) bool) {
 	n := len(v.ring)
 	if n == 0 {
 		return
@@ -107,14 +107,14 @@ func (c *Client) placeServer(ns *Namespace, off uint32, mask uint64) *Server {
 		panic("vmd: client has no servers")
 	}
 	key := ns.pageKey(off)
-	skip := func(idx int16) bool {
+	skip := func(idx srvIdx) bool {
 		if v.servers[idx].down {
 			return true
 		}
 		return n > 1 && mask&(uint64(1)<<uint(idx)) != 0
 	}
 	var pick *Server
-	v.ringWalk(key, func(idx int16) bool {
+	v.ringWalk(key, func(idx srvIdx) bool {
 		if skip(idx) || c.links[idx].freeHint <= 0 {
 			return false
 		}
@@ -126,7 +126,7 @@ func (c *Client) placeServer(ns *Namespace, off uint32, mask uint64) *Server {
 	}
 	// Every eligible hint says full; take ring order anyway and let the
 	// server NACK (hints may be stale in the optimistic direction too).
-	v.ringWalk(key, func(idx int16) bool {
+	v.ringWalk(key, func(idx srvIdx) bool {
 		if skip(idx) {
 			return false
 		}
@@ -138,9 +138,9 @@ func (c *Client) placeServer(ns *Namespace, off uint32, mask uint64) *Server {
 
 // ringPreferred returns the index of the first live server in ring order
 // for the offset, or noServer.
-func (v *VMD) ringPreferred(ns *Namespace, off uint32) int16 {
+func (v *VMD) ringPreferred(ns *Namespace, off uint32) srvIdx {
 	want := noServer
-	v.ringWalk(ns.pageKey(off), func(idx int16) bool {
+	v.ringWalk(ns.pageKey(off), func(idx srvIdx) bool {
 		if v.servers[idx].down {
 			return false
 		}
@@ -155,8 +155,8 @@ func (v *VMD) ringPreferred(ns *Namespace, off uint32) int16 {
 type rebalanceMove struct {
 	ns   *Namespace
 	off  uint32
-	from int16
-	to   int16
+	from srvIdx
+	to   srvIdx
 }
 
 // scheduleRebalance scans every namespace for primary pages no longer on

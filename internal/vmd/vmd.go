@@ -29,6 +29,7 @@ package vmd
 
 import (
 	"fmt"
+	"math"
 
 	"agilemig/internal/blockdev"
 	"agilemig/internal/mem"
@@ -49,11 +50,20 @@ const (
 	gossipInterval = 1.0 // seconds between capacity updates
 )
 
-const noServer int16 = -1
+// srvIdx is a server's index in the pool. The placement table holds one
+// per page, so it is one byte wide.
+type srvIdx uint8
+
+// noServer marks a placement entry that no server holds; it takes the
+// largest index a byte holds, so no server may have it.
+const noServer srvIdx = math.MaxUint8
 
 // maxServers bounds the pool size so a write can track its per-attempt
-// server exclusions in one machine word.
+// server exclusions in one machine word. It also keeps every server index
+// below noServer; the constant below fails to compile otherwise.
 const maxServers = 64
+
+const _ srvIdx = noServer - maxServers
 
 // repairWindow bounds concurrent background re-replication transfers so
 // repair traffic cannot monopolize the intermediate NICs after a crash.
@@ -230,7 +240,7 @@ func (ns *Namespace) registerMetrics(reg *metrics.Registry) {
 // the device's bandwidth and latency before the network response departs.
 type Server struct {
 	vmd      *VMD
-	idx      int16
+	idx      srvIdx
 	name     string
 	nic      *simnet.NIC
 	capacity int64 // memory pages
@@ -281,7 +291,7 @@ func (v *VMD) AddServer(name string, nic *simnet.NIC, capacityPages int64) *Serv
 	if len(v.servers) >= maxServers {
 		panic("vmd: too many servers (max 64)")
 	}
-	s := &Server{vmd: v, idx: int16(len(v.servers)), name: name, nic: nic, capacity: capacityPages}
+	s := &Server{vmd: v, idx: srvIdx(len(v.servers)), name: name, nic: nic, capacity: capacityPages}
 	v.servers = append(v.servers, s)
 	s.registerMetrics(v.reg)
 	// A server joining after clients exist (elastic pool growth) must be
@@ -517,7 +527,7 @@ func (v *VMD) interFlow(a, b *Server) *simnet.Flow {
 	if v.srvFlows == nil {
 		v.srvFlows = make(map[uint32]*simnet.Flow)
 	}
-	key := uint32(uint16(a.idx))<<16 | uint32(uint16(b.idx))
+	key := uint32(a.idx)<<16 | uint32(b.idx)
 	f := v.srvFlows[key]
 	if f == nil {
 		f = v.net.NewFlow("vmd:"+a.name+"->"+b.name, a.nic, b.nic, 0)
@@ -544,7 +554,7 @@ func (v *VMD) peerFlow(from, to *Client) *simnet.Flow {
 // replCopy is one extra copy of a page (beyond the primary recorded in the
 // placement table).
 type replCopy struct {
-	srv    int16
+	srv    srvIdx
 	onDisk bool
 }
 
@@ -555,8 +565,8 @@ type replCopy struct {
 type Namespace struct {
 	vmd       *VMD
 	name      string
-	k         int     // replication factor
-	placement []int16 // offset -> primary server index, noServer if never written
+	k         int      // replication factor
+	placement []srvIdx // offset -> primary server index, noServer if never written
 	onDisk    *mem.Bitmap
 	replicas  [][]replCopy       // extra copies; nil when k==1
 	spilled   map[uint32]*Client // offsets spilled to a client's local disk
@@ -595,7 +605,7 @@ func (v *VMD) CreateNamespace(name string, pages int) *Namespace {
 	if pages <= 0 {
 		panic("vmd: empty namespace")
 	}
-	p := make([]int16, pages)
+	p := make([]srvIdx, pages)
 	for i := range p {
 		p[i] = noServer
 	}
@@ -731,7 +741,7 @@ func (ns *Namespace) copiesAt(off uint32) []replCopy {
 
 // holdsCopy reports whether the offset already has a copy (primary or
 // replica) on the server.
-func (ns *Namespace) holdsCopy(off uint32, srv int16) bool {
+func (ns *Namespace) holdsCopy(off uint32, srv srvIdx) bool {
 	if ns.placement[off] == srv {
 		return true
 	}
@@ -745,7 +755,7 @@ func (ns *Namespace) holdsCopy(off uint32, srv int16) bool {
 
 // removeCopy drops the offset's replica on the server, returning it and
 // whether one was present. It does not touch server accounting.
-func (ns *Namespace) removeCopy(off uint32, srv int16) (replCopy, bool) {
+func (ns *Namespace) removeCopy(off uint32, srv srvIdx) (replCopy, bool) {
 	if ns.replicas == nil {
 		return replCopy{}, false
 	}

@@ -65,6 +65,28 @@ func TestReadUnwrittenPanics(t *testing.T) {
 	r.ns.Read(r.client, 3, nil)
 }
 
+// TestAddServerPanicsPastOneByteLimit: a server's index is one byte in the
+// placement table, so the pool refuses a server past maxServers, which
+// stays below the noServer sentinel. Only AddServer runs: no client, no
+// namespace, no traffic.
+func TestAddServerPanicsPastOneByteLimit(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := simnet.New(eng)
+	v := New(eng, net)
+	nic := net.NewNIC("inter", 125_000_000)
+	for i := 0; i < maxServers; i++ {
+		if s := v.AddServer("srv", nic, 1); s.idx == noServer {
+			t.Fatalf("server %d got the noServer index", i)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("server %d was accepted", maxServers+1)
+		}
+	}()
+	v.AddServer("srv", nic, 1)
+}
+
 func TestDetachedWritePanics(t *testing.T) {
 	r := newRig(t, 1, 100, 10)
 	r.ns.Detach(r.client)
